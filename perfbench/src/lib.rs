@@ -4,7 +4,7 @@
 //! profile).
 //!
 //! A run repeats *rounds* until `seconds` of timed windows have passed (at
-//! least [`RunConfig::min_rounds`]). Each round builds a fresh dataset from
+//! least [`MIN_ROUNDS`]). Each round builds a fresh dataset from
 //! the seed (set-up), runs the workload's op stream (the timed window),
 //! then runs checked verification reads. Every answer is compared with an
 //! in-memory model of each key's latest record, outside the timed spans.
@@ -14,22 +14,20 @@
 //! layer call inside a get) with counter deltas, and report the per-layer
 //! metrics computed from those spans.
 
-pub mod alloc;
 mod gen;
+pub mod heap;
 mod model;
 mod trace;
 
 pub use gen::Sizes;
 
 use gen::{Op, QueryKind};
+use lsm_bench::{open_tweet_dataset, tweet_dataset_config, BenchDevice, EnvConfig};
 use lsm_common::{Record, Value};
 use lsm_engine::keys::encode_pk;
-use lsm_engine::{
-    Dataset, DatasetConfig, MaintenanceMode, QueryResult, SecondaryIndexDef, StrategyKind,
-};
-use lsm_storage::{SimClock, Storage, StorageOptions};
+use lsm_engine::{Dataset, MaintenanceMode, QueryResult, StrategyKind};
+use lsm_storage::Storage;
 use lsm_tree::point_lookup;
-use lsm_workload::TweetGenerator;
 use model::Model;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -90,18 +88,12 @@ impl Workload {
             Workload::Mixed => 2.0,
         }
     }
-
-    /// Memory budget as a share of the bytes a round upserts. `mixed`
-    /// flushes four times less often: at 1%, the background worker was busy
-    /// so much of the time that the client's throughput and upsert p99
-    /// varied by 15-35% between runs on a 2-core machine.
-    fn memory_fraction(self) -> f64 {
-        match self {
-            Workload::Ingest | Workload::Lookup => 0.01,
-            Workload::Mixed => 0.04,
-        }
-    }
 }
+
+/// Rounds a run makes even when `seconds` has already passed: set-up time
+/// is a median over rounds, and the deterministic metrics come from these
+/// rounds.
+const MIN_ROUNDS: usize = 3;
 
 /// What one benchmark run does.
 #[derive(Debug, Clone)]
@@ -114,9 +106,6 @@ pub struct RunConfig {
     /// metrics.
     pub trace: bool,
     pub sizes: Sizes,
-    /// Rounds run even when `seconds` has already passed (set-up time is
-    /// reported as a median over rounds).
-    pub min_rounds: usize,
     /// Corrupts one model entry before the verification reads, to prove
     /// that wrong answers are caught (self-test only).
     pub corrupt_model: bool,
@@ -133,7 +122,6 @@ impl RunConfig {
             seconds,
             trace,
             sizes: Sizes::for_workload(workload, 1.0),
-            min_rounds: 3,
             corrupt_model: false,
             trace_dir: None,
         }
@@ -271,6 +259,8 @@ struct Round {
     components: [Components; 2],
     spans: Vec<Span>,
     queue_depth_max: u64,
+    /// Most heap the engine held in the timed window, in MiB.
+    heap_peak_mb: f64,
 }
 
 /// Timed-window ops per chunk of [`ops_per_s`].
@@ -295,32 +285,29 @@ fn ops_per_s<'a>(rounds: impl IntoIterator<Item = &'a Round>) -> f64 {
     median(per_chunk)
 }
 
-struct Env {
-    data: Arc<Storage>,
-    log: Arc<Storage>,
-    ds: Arc<Dataset>,
-}
-
-fn open(w: Workload, sizes: Sizes) -> Env {
+/// The tweet dataset of Section 6.1 as the figure benches build it, with
+/// the workload's strategy, maintenance mode and cache size.
+fn open(w: Workload, sizes: Sizes) -> (lsm_bench::Env, Arc<Dataset>) {
     // ~550 bytes per upsert, as the figure benches size their datasets.
     let dataset_bytes = sizes.upserts(w) as u64 * 550;
-    let cache_bytes = (dataset_bytes as f64 * w.cache_fraction()) as usize;
-    let clock = SimClock::new();
-    let data = Storage::with_clock(StorageOptions::ssd(cache_bytes), clock.clone());
-    let log = Storage::with_clock(StorageOptions::ssd(cache_bytes), clock);
-    let mut cfg = DatasetConfig::new(TweetGenerator::schema(), 0);
-    cfg.strategy = w.strategy();
+    let env = lsm_bench::Env::new_with_device(
+        BenchDevice::Ssd,
+        &EnvConfig {
+            dataset_bytes,
+            cache_fraction: w.cache_fraction(),
+            ..EnvConfig::default()
+        },
+    );
+    let mut cfg = tweet_dataset_config(w.strategy(), dataset_bytes, 1);
     cfg.maintenance = w.maintenance();
-    cfg.filter_field = Some(3); // creation_time
-    cfg.secondary_indexes = vec![SecondaryIndexDef {
-        name: "user_id".into(),
-        field: 1,
-    }];
-    cfg.memory_budget = ((dataset_bytes as f64 * w.memory_fraction()) as usize).max(256 * 1024);
-    cfg.merge.max_mergeable_bytes = (dataset_bytes / 20).max(1024 * 1024);
-    let ds = Dataset::open(data.clone(), Some(log.clone()), cfg)
-        .expect("the benchmark's dataset configuration is valid");
-    Env { data, log, ds }
+    if w == Workload::Mixed {
+        // Four times the 1% budget: at 1%, the background worker was busy
+        // so much of the time that the client's throughput and upsert p99
+        // varied by 15-35% between runs on a 2-core machine.
+        cfg.memory_budget *= 4;
+    }
+    let ds = open_tweet_dataset(&env, cfg);
+    (env, ds)
 }
 
 /// The call sequence of `Dataset::get` for strategies other than
@@ -375,7 +362,7 @@ fn exec(
             let s = t.begin("upsert", 0);
             let res = ds.upsert(&u.record);
             let ns = t.end(s, 0);
-            model.apply(u);
+            heap::outside(|| model.apply(u));
             (UPSERT, ns, res.is_ok())
         }
         Op::Get(pk) => {
@@ -404,9 +391,21 @@ fn exec(
             (k, ns, ok)
         }
     };
-    lat[phase_index(t.phase())][kind].push(ns);
+    heap::outside(|| lat[phase_index(t.phase())][kind].push(ns));
     tally.record(ok);
     ns
+}
+
+/// Timed-window ops between two readings of [`engine_heap_mb`].
+const HEAP_SAMPLE_OPS: usize = 256;
+
+/// Heap bytes the engine holds, in MiB: the live heap bytes allocated
+/// since `base` (read before the dataset opened), less the benchmark's
+/// own and the bytes stored on the simulated devices, which stand for
+/// disk.
+fn engine_heap_mb(base: i64, data: &Storage, log: &Storage) -> f64 {
+    let device = (data.total_bytes() + log.total_bytes()) as i64;
+    (heap::inside() - base - device) as f64 / (1024.0 * 1024.0)
 }
 
 fn user_bytes(ops: &[Op]) -> u64 {
@@ -426,7 +425,9 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
         run,
         verify,
     } = gen::generate(w, cfg.sizes, seed);
-    let Env { data, log, ds } = open(w, cfg.sizes);
+    let heap_base = heap::inside();
+    let (env, ds) = open(w, cfg.sizes);
+    let (data, log) = (env.storage, env.log_storage);
     let opened = Counters::read(&ds, &data, &log);
     let mut model = Model::default();
     let mut lat = Latencies::default();
@@ -439,7 +440,7 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
             exec(&mut t, &ds, &mut model, op, &mut lat, &mut tally);
         }
     }
-    drop(preload);
+    heap::outside(|| drop(preload));
     if w == Workload::Lookup {
         tally.record(ds.flush_all().is_ok());
     }
@@ -453,10 +454,14 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
     let before = Counters::read(&ds, &data, &log);
     let window_start = Instant::now();
     let mut t = Timer::new(&ds, &data, &log, traced);
-    let mut run_ns = Vec::with_capacity(run.len());
+    let mut run_ns = heap::outside(|| Vec::with_capacity(run.len()));
+    let mut heap_peak_mb = engine_heap_mb(heap_base, &data, &log);
     for (i, op) in run.iter().enumerate() {
         t.next_op(Phase::Run, i as u64);
         run_ns.push(exec(&mut t, &ds, &mut model, op, &mut lat, &mut tally));
+        if i % HEAP_SAMPLE_OPS == HEAP_SAMPLE_OPS - 1 {
+            heap_peak_mb = heap_peak_mb.max(engine_heap_mb(heap_base, &data, &log));
+        }
     }
     let mut quiesce_ns = 0;
     if ds.is_background() {
@@ -467,6 +472,7 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
         tally.record(res.is_ok());
     }
     let window_s = window_start.elapsed().as_secs_f64();
+    heap_peak_mb = heap_peak_mb.max(engine_heap_mb(heap_base, &data, &log));
     let after = Counters::read(&ds, &data, &log);
     let end_components = components(&ds);
     let window = after.since(&before);
@@ -505,6 +511,7 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
         components: [start_components, end_components],
         spans,
         queue_depth_max,
+        heap_peak_mb,
     }
 }
 
@@ -561,19 +568,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Peak resident set of this process in MiB (`VmHWM`), 0 where the
-/// kernel does not report it.
-fn rss_peak_mb() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find_map(|l| l.strip_prefix("VmHWM:"))
-                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        })
-        .map_or(0.0, |kb| kb / 1024.0)
-}
-
 fn metric(name: &'static str, value: f64, unit: &'static str) -> Metric {
     Metric {
         name,
@@ -586,7 +580,7 @@ fn metric(name: &'static str, value: f64, unit: &'static str) -> Metric {
 /// The end-to-end metrics over all rounds. A latency comes from the timed
 /// window when the workload's op stream has that op; otherwise upserts
 /// come from the set-up preload and reads from the verification reads.
-fn end_to_end(rounds: &[Round], min_rounds: usize) -> Vec<Metric> {
+fn end_to_end(rounds: &[Round]) -> Vec<Metric> {
     let pooled = |kind: usize| -> Vec<u64> {
         let phase = [Phase::Run, Phase::Preload, Phase::Verify]
             .into_iter()
@@ -613,7 +607,7 @@ fn end_to_end(rounds: &[Round], min_rounds: usize) -> Vec<Metric> {
     // Deterministic metrics come from the rounds every run has, so a
     // seed always gives the same values however many rounds the time
     // budget allowed.
-    let det = |f: fn(&Round) -> f64| median(rounds.iter().take(min_rounds).map(f).collect());
+    let det = |f: fn(&Round) -> f64| median(rounds.iter().take(MIN_ROUNDS).map(f).collect());
     vec![
         metric(
             "setup_s",
@@ -630,7 +624,11 @@ fn end_to_end(rounds: &[Round], min_rounds: usize) -> Vec<Metric> {
         metric("sim_us_per_op", det(|r| r.sim_us_per_op), "sim_us"),
         metric("write_amp", det(|r| r.write_amp), "ratio"),
         metric("space_amp", det(|r| r.space_amp), "ratio"),
-        metric("rss_peak_mb", rss_peak_mb(), "MiB"),
+        metric(
+            "heap_peak_mb",
+            median(rounds.iter().map(|r| r.heap_peak_mb).collect()),
+            "MiB",
+        ),
     ]
 }
 
@@ -870,14 +868,14 @@ pub fn run(cfg: &RunConfig) -> std::io::Result<Report> {
         rounds.push(round(cfg, traced, seed));
         let measured: f64 = rounds.iter().map(|r| r.window_s).sum();
         let has_traced = !cfg.trace || rounds.iter().any(|r| r.traced);
-        if rounds.len() >= cfg.min_rounds.max(1) && measured >= cfg.seconds && has_traced {
+        if rounds.len() >= MIN_ROUNDS && measured >= cfg.seconds && has_traced {
             break;
         }
     }
     let metrics = if cfg.trace {
         per_layer(cfg.workload, &rounds)
     } else {
-        end_to_end(&rounds, cfg.min_rounds.max(1))
+        end_to_end(&rounds)
     };
     if let (true, Some(dir)) = (cfg.trace, &cfg.trace_dir) {
         std::fs::create_dir_all(dir)?;

@@ -12,6 +12,9 @@ use perfbench::{run, RunConfig, Workload};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+#[global_allocator]
+static ALLOC: perfbench::heap::HeapAlloc = perfbench::heap::HeapAlloc;
+
 const USAGE: &str =
     "usage: perfbench --workload <ingest|lookup|mixed> --seed <n> --seconds <n> --trace <0|1>";
 

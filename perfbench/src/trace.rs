@@ -2,7 +2,7 @@
 //! benchmark times its own calls into each layer's public functions and
 //! diffs the layers' public counters around them.
 
-use crate::alloc;
+use lsm_bench::alloc_track;
 use lsm_engine::Dataset;
 use lsm_storage::Storage;
 use std::io::{self, Write};
@@ -94,7 +94,7 @@ impl Counters {
             flush_jobs: e.flush_jobs,
             merge_jobs: e.merge_jobs,
             backpressure_stalls: e.backpressure_stalls,
-            allocs: alloc::allocations(),
+            allocs: alloc_track::allocations(),
         }
     }
 

@@ -11,13 +11,15 @@ use perfbench::{run, Report, RunConfig, Sizes, Workload};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
+#[global_allocator]
+static ALLOC: perfbench::heap::HeapAlloc = perfbench::heap::HeapAlloc;
+
 /// Allocation counts are process-wide, so tests must not overlap.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn small(w: Workload, trace: bool) -> RunConfig {
     let mut cfg = RunConfig::new(w, 7, 0.0, trace);
     cfg.sizes = Sizes::for_workload(w, 0.05);
-    cfg.min_rounds = 2;
     cfg
 }
 
@@ -45,10 +47,10 @@ fn values(r: &Report, names: &[&str]) -> Vec<(String, f64)> {
 fn deterministic_metrics_repeat_exactly_for_one_seed() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for w in [Workload::Ingest, Workload::Lookup] {
-        let e2e = ["sim_us_per_op", "write_amp", "space_amp"];
+        let e2e = ["sim_us_per_op", "write_amp", "space_amp", "heap_peak_mb"];
         let first = values(&run_ok(&small(w, false)), &e2e);
         let second = values(&run_ok(&small(w, false)), &e2e);
-        assert_eq!(first.len(), 3);
+        assert_eq!(first.len(), 4);
         assert!(first.iter().all(|(_, v)| *v > 0.0), "{first:?}");
         assert_eq!(first, second, "{}", w.name());
 
