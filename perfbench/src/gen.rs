@@ -73,9 +73,9 @@ impl Sizes {
         Sizes {
             preload: s(preload),
             run: s(run),
-            verify_gets: s(10_000),
+            verify_gets: s(40_000),
             verify_narrow: s(5_000),
-            verify_wide: s(100),
+            verify_wide: s(200),
         }
     }
 

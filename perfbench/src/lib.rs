@@ -8,6 +8,9 @@
 //! the seed (set-up), runs the workload's op stream (the timed window),
 //! then runs checked verification reads. Every answer is compared with an
 //! in-memory model of each key's latest record, outside the timed spans.
+//! Wall-clock metrics are scaled to a reference machine speed, measured
+//! between ops with a fixed kernel (`src/speed.rs`); per-layer span times are
+//! raw wall time.
 //!
 //! Untraced runs report the end-to-end metrics. Traced runs alternate
 //! untraced and traced rounds; traced rounds record a span per op (and per
@@ -17,6 +20,7 @@
 mod gen;
 pub mod heap;
 mod model;
+mod speed;
 mod trace;
 
 pub use gen::Sizes;
@@ -29,6 +33,7 @@ use lsm_engine::{Dataset, MaintenanceMode, QueryResult, StrategyKind};
 use lsm_storage::Storage;
 use lsm_tree::point_lookup;
 use model::Model;
+use speed::Speed;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -214,7 +219,8 @@ const GET: usize = 1;
 const NARROW: usize = 2;
 const WIDE: usize = 3;
 
-/// Per-op latencies in ns, by phase (preload, run, verify) and op kind.
+/// Per-op latencies in ns at the reference speed, by phase (preload, run,
+/// verify) and op kind.
 type Latencies = [[Vec<u64>; 4]; 3];
 
 fn phase_index(p: Phase) -> usize {
@@ -236,7 +242,8 @@ fn components(ds: &Dataset) -> Components {
     ]
 }
 
-/// Everything one round measured.
+/// Everything one round measured. Set-up time, op durations and the
+/// final `quiesce` are scaled to the reference speed (see [`speed`]).
 struct Round {
     traced: bool,
     setup_s: f64,
@@ -348,9 +355,10 @@ impl Tally {
 }
 
 /// Runs one op, checks its answer against `model` after the span closes,
-/// and returns its duration in ns.
+/// and returns its duration in ns, scaled to the reference speed.
 fn exec(
     t: &mut Timer,
+    speed: &mut Speed,
     ds: &Dataset,
     model: &mut Model,
     op: &Op,
@@ -391,8 +399,10 @@ fn exec(
             (k, ns, ok)
         }
     };
+    let ns = speed.scale(ns);
     heap::outside(|| lat[phase_index(t.phase())][kind].push(ns));
     tally.record(ok);
+    speed.tick();
     ns
 }
 
@@ -417,9 +427,10 @@ fn user_bytes(ops: &[Op]) -> u64 {
         .sum()
 }
 
-fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
+fn round(cfg: &RunConfig, speed: &mut Speed, traced: bool, seed: u64) -> Round {
     let w = cfg.workload;
     let setup = Instant::now();
+    speed.begin_phase();
     let gen::Streams {
         preload,
         run,
@@ -437,7 +448,7 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
         let mut t = Timer::new(&ds, &data, &log, false);
         for (i, op) in preload.iter().enumerate() {
             t.next_op(Phase::Preload, i as u64);
-            exec(&mut t, &ds, &mut model, op, &mut lat, &mut tally);
+            exec(&mut t, speed, &ds, &mut model, op, &mut lat, &mut tally);
         }
     }
     heap::outside(|| drop(preload));
@@ -447,7 +458,7 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
     if ds.is_background() {
         tally.record(ds.maintenance().quiesce().is_ok());
     }
-    let setup_s = setup.elapsed().as_secs_f64();
+    let setup_s = speed.end_phase(setup.elapsed().as_nanos() as u64) / 1e9;
 
     let run_user_bytes = user_bytes(&run);
     let start_components = components(&ds);
@@ -458,7 +469,9 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
     let mut heap_peak_mb = engine_heap_mb(heap_base, &data, &log);
     for (i, op) in run.iter().enumerate() {
         t.next_op(Phase::Run, i as u64);
-        run_ns.push(exec(&mut t, &ds, &mut model, op, &mut lat, &mut tally));
+        run_ns.push(exec(
+            &mut t, speed, &ds, &mut model, op, &mut lat, &mut tally,
+        ));
         if i % HEAP_SAMPLE_OPS == HEAP_SAMPLE_OPS - 1 {
             heap_peak_mb = heap_peak_mb.max(engine_heap_mb(heap_base, &data, &log));
         }
@@ -468,7 +481,7 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
         t.next_op(Phase::Run, run.len() as u64);
         let s = t.begin("quiesce", 0);
         let res = ds.maintenance().quiesce();
-        quiesce_ns = t.end(s, 0);
+        quiesce_ns = speed.scale(t.end(s, 0));
         tally.record(res.is_ok());
     }
     let window_s = window_start.elapsed().as_secs_f64();
@@ -492,7 +505,7 @@ fn round(cfg: &RunConfig, traced: bool, seed: u64) -> Round {
     }
     for (i, op) in verify.iter().enumerate() {
         t.next_op(Phase::Verify, i as u64);
-        exec(&mut t, &ds, &mut model, op, &mut lat, &mut tally);
+        exec(&mut t, speed, &ds, &mut model, op, &mut lat, &mut tally);
     }
     Round {
         traced,
@@ -792,7 +805,7 @@ fn per_layer(w: Workload, rounds: &[Round]) -> Vec<Metric> {
         ),
         metric(
             "scheduler.quiesce_s",
-            traced.iter().map(|r| r.quiesce_ns).sum::<u64>() as f64 / 1e9 / n_rounds,
+            sum("quiesce", Span::dur_ns) as f64 / 1e9 / n_rounds,
             "s",
         ),
         metric(
@@ -849,6 +862,7 @@ fn per_layer(w: Workload, rounds: &[Round]) -> Vec<Metric> {
 /// to `cfg.trace_dir`, which is the only I/O that can fail.
 pub fn run(cfg: &RunConfig) -> std::io::Result<Report> {
     let mut rounds: Vec<Round> = Vec::new();
+    let mut speed = Speed::new();
     loop {
         // Traced runs alternate untraced and traced rounds, so the tracing
         // overhead is measured within one run.
@@ -865,7 +879,7 @@ pub fn run(cfg: &RunConfig) -> std::io::Result<Report> {
             .seed
             .wrapping_mul(1_000_003)
             .wrapping_add(dataset as u64);
-        rounds.push(round(cfg, traced, seed));
+        rounds.push(round(cfg, &mut speed, traced, seed));
         let measured: f64 = rounds.iter().map(|r| r.window_s).sum();
         let has_traced = !cfg.trace || rounds.iter().any(|r| r.traced);
         if rounds.len() >= MIN_ROUNDS && measured >= cfg.seconds && has_traced {
