@@ -17,7 +17,6 @@
 use lsm_bench::{
     old_time_range, recent_time_range, row, scaled, table_header, Env, EnvConfig, Timer,
 };
-use lsm_engine::query::filter_scan_count;
 use lsm_engine::{Dataset, StrategyKind};
 use lsm_storage::LeafEncoding;
 use lsm_workload::UpdateDistribution;
@@ -61,13 +60,20 @@ fn times(ds: &Dataset, max_time: i64, recent: bool) -> Vec<f64> {
             } else {
                 old_time_range(max_time, *d, TOTAL_DAYS)
             };
+            let mut scan = ds.filter_scan();
+            if let Some(lo) = lo {
+                scan = scan.range_from(lo);
+            }
+            if let Some(hi) = hi {
+                scan = scan.range_to(hi);
+            }
             // The paper measures with a clean cache (5 runs averaged).
             let reps = 2;
             let mut total = 0.0;
             for _ in 0..reps {
                 ds.storage().clear_cache();
                 let timer = Timer::start(ds.storage().clock());
-                let r = filter_scan_count(ds, lo.as_ref(), hi.as_ref()).expect("scan");
+                let r = scan.clone().count().expect("scan");
                 total += timer.elapsed().0;
                 std::hint::black_box(r.matches);
             }

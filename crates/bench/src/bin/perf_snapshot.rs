@@ -9,14 +9,14 @@
 //! on the hdd / ssd / nvme profiles), a multi-writer scenario
 //! (1/2/4/8 writer threads committing `WriteBatch`es against one sharded,
 //! WAL-backed dataset — the group-commit measurement), and a scan-heavy
-//! scenario (serial vs `parallel(4)` filter scans on plain, prefix and
-//! columnar leaf pages, with live on-disk bytes and cache
+//! scenario (serial vs `parallel(4)` filter scans on plain and prefix
+//! leaf pages, with live on-disk bytes and cache
 //! hit-rates), and an index-only scenario (cold-cache `index_only()`
 //! secondary range queries per leaf encoding, comparing device bytes
 //! read), written as JSON so the perf trajectory accumulates across
 //! commits. Schema history is documented in `docs/OPERATIONS.md`
-//! (`schema_version` 8: adds the `index_only` array, the columnar
-//! `scan_heavy` row, and `lookup_allocs_per_op` on the variants).
+//! (`schema_version` 9: `scan_heavy` and `index_only` carry one row per
+//! leaf encoding, plain and prefix).
 //!
 //! ```sh
 //! cargo run -p lsm-bench --release --bin perf_snapshot
@@ -451,21 +451,13 @@ fn main() {
     // Scan-heavy scenario (schema_version 7): serial vs parallel(4) filter
     // scans over the same dataset built with each leaf-page encoding — the
     // read-path + compression acceptance measurement (`index_bytes` for
-    // the compressed encodings must undercut plain).
-    let scan_heavy = [
-        run_scan_heavy_scenario(scaled(60_000), 24, 4, LeafEncoding::Plain),
-        run_scan_heavy_scenario(scaled(60_000), 24, 4, LeafEncoding::Prefix),
-        run_scan_heavy_scenario(scaled(60_000), 24, 4, LeafEncoding::Columnar),
-    ];
+    // prefix must undercut plain).
+    let scan_heavy = LeafEncoding::ALL.map(|e| run_scan_heavy_scenario(scaled(60_000), 24, 4, e));
 
     // Index-only scenario (schema_version 8): cold-cache `index_only()`
-    // secondary range queries per leaf encoding — the key-strip acceptance
-    // measurement (`bytes_read` for columnar must undercut plain by >=20%).
-    let index_only = [
-        run_index_only_scenario(scaled(60_000), 24, LeafEncoding::Plain),
-        run_index_only_scenario(scaled(60_000), 24, LeafEncoding::Prefix),
-        run_index_only_scenario(scaled(60_000), 24, LeafEncoding::Columnar),
-    ];
+    // secondary range queries per leaf encoding — the compression acceptance
+    // measurement (`bytes_read` for prefix must undercut plain by >=20%).
+    let index_only = LeafEncoding::ALL.map(|e| run_index_only_scenario(scaled(60_000), 24, e));
 
     let body: Vec<String> = variants.iter().map(json_variant).collect();
     let multi_body: Vec<String> = multi.iter().map(json_multi).collect();
@@ -477,7 +469,7 @@ fn main() {
     let scan_body: Vec<String> = scan_heavy.iter().map(json_scan_heavy).collect();
     let index_only_body: Vec<String> = index_only.iter().map(json_index_only).collect();
     let json = format!(
-        "{{\n  \"schema_version\": 8,\n  \"bench\": \"ingest\",\n  \"scale\": {},\n  \"variants\": [\n{}\n  ],\n  \"maintenance_heavy\": [\n{}\n  ],\n  \"fairness\": [\n{}\n  ],\n  \"query_heavy\": [\n{}\n  ],\n  \"repair_heavy\": [\n{}\n  ],\n  \"device_sweep\": [\n{}\n  ],\n  \"multi_writer\": [\n{}\n  ],\n  \"scan_heavy\": [\n{}\n  ],\n  \"index_only\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema_version\": 9,\n  \"bench\": \"ingest\",\n  \"scale\": {},\n  \"variants\": [\n{}\n  ],\n  \"maintenance_heavy\": [\n{}\n  ],\n  \"fairness\": [\n{}\n  ],\n  \"query_heavy\": [\n{}\n  ],\n  \"repair_heavy\": [\n{}\n  ],\n  \"device_sweep\": [\n{}\n  ],\n  \"multi_writer\": [\n{}\n  ],\n  \"scan_heavy\": [\n{}\n  ],\n  \"index_only\": [\n{}\n  ]\n}}\n",
         scale(),
         body.join(",\n"),
         multi_body.join(",\n"),

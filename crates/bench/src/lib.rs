@@ -861,7 +861,7 @@ pub struct IndexOnlyRun {
     /// Live bytes on the data device after the load.
     pub index_bytes: u64,
     /// Device bytes read during the cold-cache query pass — the
-    /// compression acceptance number (`Columnar` must undercut `Plain`).
+    /// compression acceptance number (`Prefix` must undercut `Plain`).
     pub bytes_read: u64,
     /// Primary keys returned per pass.
     pub rows: usize,
@@ -877,8 +877,8 @@ pub struct IndexOnlyRun {
 /// straight from the always-accurate secondary index, no validation and
 /// no record fetch — from a cold cache. Every byte the pass reads is
 /// index structure, so the bytes-read comparison across encodings is the
-/// key-strip acceptance number: the prefix and columnar codecs shrink
-/// what the device has to deliver.
+/// compression acceptance number: the prefix codec shrinks what the
+/// device has to deliver.
 pub fn run_index_only_scenario(n: usize, queries: usize, encoding: LeafEncoding) -> IndexOnlyRun {
     use lsm_workload::USER_ID_DOMAIN;
     let dataset_bytes = (n as u64) * 550;

@@ -12,11 +12,9 @@
 //!   Section 3.2: remembers the last leaf/position and uses exponential
 //!   search for sorted probe streams;
 //! * [`leaf::LeafView`] — per-page leaf-codec dispatch: the plain slotted
-//!   format plus the opt-in prefix-compressed and columnar strip formats
+//!   format and the opt-in prefix-compressed format
 //!   ([`lsm_storage::LeafEncoding`]) read through one view, so
-//!   mixed-encoding trees need no migration. Columnar pages keep keys and
-//!   values in separate in-page strips, so index-only scans and probe
-//!   filtering touch only the key strip.
+//!   mixed-encoding trees need no migration.
 //!
 //! All page reads go through [`lsm_storage::Storage`], so every search and
 //! scan is charged to the simulated device and CPU cost models.
@@ -32,8 +30,5 @@ pub mod tree;
 
 pub use builder::BTreeBuilder;
 pub use cursor::StatefulCursor;
-pub use leaf::{
-    AnyLeafBuilder, ColumnarLeafPage, ColumnarLeafPageBuilder, LeafView, PrefixLeafPage,
-    PrefixLeafPageBuilder,
-};
+pub use leaf::{AnyLeafBuilder, LeafView, PrefixLeafPage, PrefixLeafPageBuilder};
 pub use tree::{BTree, BTreeScan};

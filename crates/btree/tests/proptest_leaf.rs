@@ -1,12 +1,12 @@
-//! Property tests for the compressed leaf codecs (prefix and columnar):
-//! encode→decode identity, search agreement with the plain (uncompressed)
-//! encoding, and restart-interval edge cases, over key sets drawn from a
-//! small alphabet so shared-prefix clusters arise naturally. Page sizes 0
-//! and 1 are inside the generated range, so empty and single-entry pages
-//! are exercised too.
+//! Property tests for the prefix-compressed leaf codec: encode→decode
+//! identity, search agreement with the plain (uncompressed) encoding, and
+//! restart-interval edge cases, over key sets drawn from a small alphabet
+//! so shared-prefix clusters arise naturally. Page sizes 0 and 1 are
+//! inside the generated range, so empty and single-entry pages are
+//! exercised too.
 
 use lsm_btree::page::LeafPageBuilder;
-use lsm_btree::{BTree, BTreeBuilder, ColumnarLeafPageBuilder, LeafView, PrefixLeafPageBuilder};
+use lsm_btree::{BTree, BTreeBuilder, LeafView, PrefixLeafPageBuilder};
 use lsm_storage::{LeafEncoding, Storage, StorageOptions};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -26,14 +26,6 @@ fn arb_entries() -> impl Strategy<Value = BTreeMap<Vec<u8>, Vec<u8>>> {
 
 fn build_prefix(entries: &BTreeMap<Vec<u8>, Vec<u8>>, base: u64, interval: u16) -> Vec<u8> {
     let mut b = PrefixLeafPageBuilder::with_restart_interval(1 << 24, base, interval);
-    for (k, v) in entries {
-        b.add(k, v).unwrap();
-    }
-    b.finish()
-}
-
-fn build_columnar(entries: &BTreeMap<Vec<u8>, Vec<u8>>, base: u64, interval: u16) -> Vec<u8> {
-    let mut b = ColumnarLeafPageBuilder::with_restart_interval(1 << 24, base, interval);
     for (k, v) in entries {
         b.add(k, v).unwrap();
     }
@@ -122,65 +114,6 @@ proptest! {
         }
     }
 
-    // Columnar encode→decode identity: key strip and value strip reassemble
-    // every entry at any restart interval, and first/last keys survive.
-    #[test]
-    fn columnar_roundtrip_identity(
-        entries in arb_entries(),
-        base in 0u64..1 << 40,
-        interval in 1u16..40,
-    ) {
-        let data = build_columnar(&entries, base, interval);
-        let view = LeafView::parse(&data).unwrap();
-        prop_assert!(matches!(view, LeafView::Columnar(_)));
-        prop_assert_eq!(view.count(), entries.len());
-        prop_assert_eq!(view.base_ordinal(), base);
-        for (i, (k, v)) in entries.iter().enumerate() {
-            let (gk, gv) = view.entry(i).unwrap();
-            prop_assert_eq!(gk.as_ref(), k.as_slice(), "key {}", i);
-            prop_assert_eq!(gv, v.as_slice(), "value {}", i);
-            // Index-only access: the key accessor alone agrees too.
-            let key_only = view.key(i).unwrap();
-            prop_assert_eq!(key_only.as_ref(), k.as_slice());
-        }
-        let first = view.first_key().unwrap();
-        prop_assert_eq!(
-            first.as_ref().map(|k| k.as_ref()),
-            entries.keys().next().map(|k| k.as_slice())
-        );
-        let last = view.last_key().unwrap();
-        prop_assert_eq!(
-            last.as_ref().map(|k| k.as_ref()),
-            entries.keys().next_back().map(|k| k.as_slice())
-        );
-    }
-
-    // Columnar in-page searches agree with the plain encoding for present
-    // keys and arbitrary probes alike.
-    #[test]
-    fn columnar_search_agrees_with_plain(
-        entries in arb_entries(),
-        interval in 1u16..40,
-        probes in proptest::collection::vec(
-            proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), Just(b'e')], 1..16),
-            0..24,
-        ),
-        from in 0usize..140,
-    ) {
-        let columnar = build_columnar(&entries, 0, interval);
-        let plain = build_plain(&entries, 0);
-        let cv = LeafView::parse(&columnar).unwrap();
-        let lv = LeafView::parse(&plain).unwrap();
-        for probe in entries.keys().map(|k| k.as_slice()).chain(probes.iter().map(|p| p.as_slice())) {
-            let (a, _) = cv.search(probe).unwrap();
-            let (b, _) = lv.search(probe).unwrap();
-            prop_assert_eq!(a, b, "search {:?}", probe);
-            let (a, _) = cv.exponential_search(probe, from).unwrap();
-            let (b, _) = lv.exponential_search(probe, from).unwrap();
-            prop_assert_eq!(a, b, "exponential_search {:?} from {}", probe, from);
-        }
-    }
-
     // The Plain encoding routed through the storage option produces pages
     // the original builder wrote, byte for byte.
     #[test]
@@ -195,9 +128,9 @@ proptest! {
         prop_assert_eq!(via_any, build_plain(&entries, 7));
     }
 
-    // Whole-tree agreement: bulk-loaded trees with prefix-compressed and
-    // columnar leaves answer searches and range scans identically to the
-    // plain tree (and to the model), across leaf boundaries.
+    // Whole-tree agreement: a bulk-loaded tree with prefix-compressed
+    // leaves answers searches and range scans identically to the plain
+    // tree (and to the model), across leaf boundaries.
     #[test]
     fn compressed_trees_match_plain_tree(
         entries in arb_entries(),
@@ -216,15 +149,33 @@ proptest! {
             }
             got
         };
-        let plain_scan = collect(&plain);
-        for encoding in [LeafEncoding::Prefix, LeafEncoding::Columnar] {
-            let tree = build_tree(&entries, encoding);
+        let tree = build_tree(&entries, LeafEncoding::Prefix);
+        for (k, v) in &entries {
+            let got = tree.search(k).unwrap().expect("present key");
+            prop_assert_eq!(&got.0, v);
+            prop_assert_eq!(got.1, plain.search(k).unwrap().unwrap().1, "ordinal");
+        }
+        prop_assert_eq!(collect(&tree), collect(&plain));
+    }
+
+    // Every encoding in `LeafEncoding::ALL`, built through the dispatching
+    // builder, parses back as that encoding with every entry intact.
+    #[test]
+    fn every_encoding_roundtrips_through_any_builder(entries in arb_entries()) {
+        for encoding in LeafEncoding::ALL {
+            let mut b = lsm_btree::AnyLeafBuilder::new(encoding, 1 << 24, 3);
             for (k, v) in &entries {
-                let got = tree.search(k).unwrap().expect("present key");
-                prop_assert_eq!(&got.0, v);
-                prop_assert_eq!(got.1, plain.search(k).unwrap().unwrap().1, "ordinal");
+                b.add(k, v).unwrap();
             }
-            prop_assert_eq!(collect(&tree), plain_scan.clone(), "{:?}", encoding);
+            let data = b.finish();
+            let view = LeafView::parse(&data).unwrap();
+            let is_prefix = matches!(view, LeafView::Prefix(_));
+            prop_assert_eq!(is_prefix, encoding == LeafEncoding::Prefix);
+            prop_assert_eq!((view.count(), view.base_ordinal()), (entries.len(), 3));
+            for (i, (k, v)) in entries.iter().enumerate() {
+                let (gk, gv) = view.entry(i).unwrap();
+                prop_assert_eq!((gk.as_ref(), gv), (k.as_slice(), v.as_slice()));
+            }
         }
     }
 }

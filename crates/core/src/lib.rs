@@ -188,60 +188,6 @@
 //! replays with maintenance forced *inline* (replay rewinds the logical
 //! clock — background jobs must not race it), and advances the clock past
 //! everything durable and replayed before returning.
-//!
-//! # Deprecation path
-//!
-//! The historical free functions — [`query::secondary_query`],
-//! [`repair::full_repair`], [`repair::merge_repair_secondary`],
-//! [`repair::standalone_repair_secondary`], [`repair::primary_repair`] —
-//! remain as `#[deprecated]` shims delegating to the builders, and the
-//! per-dataset `MaintenanceScheduler` name survives as a `#[deprecated]`
-//! alias of [`MaintenanceRuntime`]; all will be removed once external
-//! callers migrate.
-//!
-//! ## Migrating from `MaintenanceScheduler` to `MaintenanceRuntime`
-//!
-//! `MaintenanceScheduler` was a *per-dataset* worker pool; the alias still
-//! compiles, but every dataset opened through it runs its own threads. To
-//! migrate:
-//!
-//! 1. **One dataset, unchanged behaviour** — keep
-//!    [`MaintenanceMode::Background`]`{ workers }` in [`DatasetConfig`]
-//!    (or call `ds.maintenance().background(n)`); the dataset gets a
-//!    private fixed-size runtime exactly like the old scheduler, with no
-//!    quotas and no throttling ([`EngineConfig::fixed`]).
-//! 2. **Many datasets, one bounded pool** — build an [`EngineConfig`]
-//!    (`EngineConfig::builder().min_workers(1).max_workers(4)...`), start
-//!    it once with [`MaintenanceRuntime::start`], and open each dataset
-//!    with [`Dataset::open_with_runtime`]. Worker counts, read/write
-//!    throttles, per-dataset quotas, and the fairness quantum are all
-//!    runtime-wide knobs now — per-dataset worker counts in
-//!    `MaintenanceMode::Background` are ignored when a shared runtime is
-//!    supplied.
-//! 3. **Draining** — `scheduler.quiesce()` used to drain the dataset's
-//!    whole pool; on a shared runtime, `ds.maintenance().quiesce()` drains
-//!    only that dataset's jobs, and [`MaintenanceRuntime::quiesce`] drains
-//!    everything.
-//!
-//! ```
-//! use lsm_engine::{Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime};
-//! use lsm_storage::{Storage, StorageOptions};
-//! # use lsm_common::{FieldType, Schema};
-//! # let schema = Schema::new(vec![("id", FieldType::Int)]).unwrap();
-//! // Before: one MaintenanceScheduler (= worker pool) per dataset.
-//! // After: one runtime, N datasets.
-//! let runtime = MaintenanceRuntime::start(
-//!     EngineConfig::builder().min_workers(1).max_workers(2).build()?,
-//! )?;
-//! let a = Dataset::open_with_runtime(
-//!     Storage::new(StorageOptions::test()), None,
-//!     DatasetConfig::new(schema.clone(), 0), &runtime)?;
-//! let b = Dataset::open_with_runtime(
-//!     Storage::new(StorageOptions::test()), None,
-//!     DatasetConfig::new(schema, 0), &runtime)?;
-//! assert_eq!(runtime.stats().datasets, 2);
-//! # Ok::<(), lsm_common::Error>(())
-//! ```
 
 #![warn(missing_docs)]
 
@@ -275,22 +221,6 @@ pub use query::{
 pub use repair::{RepairMode, RepairOptions, RepairReport};
 pub use scheduler::{DatasetRuntimeStats, MaintenanceRuntime, RuntimeStatsSnapshot};
 pub use stats::{EngineStats, EngineStatsSnapshot};
-
-/// The per-dataset scheduler's old name, kept as an alias so downstream
-/// code migrates with a warning instead of a hard break.
-#[deprecated(
-    note = "renamed to MaintenanceRuntime — one engine-wide runtime now serves many datasets \
-            (register with Dataset::open_with_runtime)"
-)]
-pub type MaintenanceScheduler = MaintenanceRuntime;
-
-// Deprecated free functions, re-exported for backwards compatibility.
-#[allow(deprecated)]
-pub use query::secondary_query;
-#[allow(deprecated)]
-pub use repair::{
-    full_repair, merge_repair_secondary, primary_repair, standalone_repair_secondary,
-};
 
 /// The repository's top-level `ARCHITECTURE.md`, rendered here so its
 /// every example compiles and runs as a doctest of this crate. Covers the

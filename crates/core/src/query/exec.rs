@@ -1,9 +1,7 @@
-//! Query execution internals shared by [`secondary_query`], the fluent
-//! [`QueryBuilder`](crate::query::QueryBuilder), and the streaming
+//! Query execution internals shared by the fluent
+//! [`QueryBuilder`](crate::query::QueryBuilder) and the streaming
 //! [`RecordStream`](crate::query::RecordStream): the Figure 5 pipeline of
 //! secondary-index scan → candidate sort/dedup → validation → record fetch.
-//!
-//! [`secondary_query`]: crate::query::secondary_query
 
 use crate::dataset::{Dataset, SecondaryIndex};
 use crate::keys::{bound_as_ref, sk_range};
@@ -239,8 +237,8 @@ fn fetch_records(
     Ok(records)
 }
 
-/// Runs the full query pipeline, collecting every result (the historical
-/// `secondary_query` behaviour, plus an optional result limit).
+/// Runs the full query pipeline, collecting every result up to an optional
+/// result limit.
 pub(crate) fn execute(
     ds: &Dataset,
     index: &str,

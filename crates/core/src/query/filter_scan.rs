@@ -362,25 +362,6 @@ fn scan_partitioned(
     Ok((matches, records, num_partitions))
 }
 
-/// Scans the primary index with a predicate `filter_key ∈ [lo, hi]` and
-/// returns the match count plus pruning statistics.
-pub fn filter_scan_count(
-    ds: &Dataset,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-) -> Result<FilterScanReport> {
-    let plan = capture_plan(ds, lo, hi)?;
-    let mut report = FilterScanReport {
-        components_scanned: plan.included.len() as u64,
-        components_pruned: plan.components_pruned,
-        ..FilterScanReport::default()
-    };
-    let mut matches = 0u64;
-    scan_serial(ds, plan, lo, hi, |_, _| matches += 1)?;
-    report.matches = matches;
-    Ok(report)
-}
-
 impl Dataset {
     /// Starts a fluent primary-index filter scan (requires
     /// [`DatasetConfig::filter_field`](crate::DatasetConfig) to be set).
@@ -464,23 +445,25 @@ impl<'a> FilterScanBuilder<'a> {
 
     /// Runs the scan, returning the match count plus pruning statistics.
     pub fn count(self) -> Result<FilterScanReport> {
+        let (lo, hi) = (self.lo.as_ref(), self.hi.as_ref());
+        let plan = capture_plan(self.ds, lo, hi)?;
+        let mut report = FilterScanReport {
+            components_scanned: plan.included.len() as u64,
+            components_pruned: plan.components_pruned,
+            ..FilterScanReport::default()
+        };
         match self.parallel {
-            None => filter_scan_count(self.ds, self.lo.as_ref(), self.hi.as_ref()),
+            None => {
+                scan_serial(self.ds, plan, lo, hi, |_, _| report.matches += 1)?;
+            }
             Some(n) => {
                 let ds = self.ds.shared()?;
-                let (lo, hi) = (self.lo.as_ref(), self.hi.as_ref());
-                let plan = capture_plan(&ds, lo, hi)?;
-                let mut report = FilterScanReport {
-                    components_scanned: plan.included.len() as u64,
-                    components_pruned: plan.components_pruned,
-                    ..FilterScanReport::default()
-                };
                 let (matches, _, partitions) = scan_partitioned(&ds, plan, lo, hi, n, false)?;
                 report.matches = matches;
                 report.partitions = partitions;
-                Ok(report)
             }
         }
+        Ok(report)
     }
 
     /// Runs the scan and collects the matching records in primary-key
@@ -658,11 +641,11 @@ mod tests {
         for s in all_strategies() {
             let ds = dataset(s);
             load(&ds);
-            let r = filter_scan_count(&ds, Some(&Value::Int(50)), Some(&Value::Int(149))).unwrap();
+            let r = ds.filter_scan().range(50, 149).count().unwrap();
             assert_eq!(r.matches, 100, "{s:?}");
-            let r = filter_scan_count(&ds, None, Some(&Value::Int(99))).unwrap();
+            let r = ds.filter_scan().range_to(99).count().unwrap();
             assert_eq!(r.matches, 100, "{s:?}");
-            let r = filter_scan_count(&ds, Some(&Value::Int(250)), None).unwrap();
+            let r = ds.filter_scan().range_from(250).count().unwrap();
             assert_eq!(r.matches, 50, "{s:?}");
         }
     }
@@ -673,7 +656,7 @@ mod tests {
             let ds = dataset(s);
             load(&ds);
             // Query on OLD data (component 0 only).
-            let r = filter_scan_count(&ds, None, Some(&Value::Int(99))).unwrap();
+            let r = ds.filter_scan().range_to(99).count().unwrap();
             match s {
                 StrategyKind::Eager | StrategyKind::MutableBitmap => {
                     assert_eq!(r.components_scanned, 1, "{s:?}");
@@ -686,7 +669,7 @@ mod tests {
                 }
             }
             // Query on RECENT data: everyone prunes the old components.
-            let r = filter_scan_count(&ds, Some(&Value::Int(200)), None).unwrap();
+            let r = ds.filter_scan().range_from(200).count().unwrap();
             assert_eq!(r.components_scanned, 1, "{s:?}");
             assert_eq!(r.components_pruned, 2, "{s:?}");
         }
@@ -703,10 +686,10 @@ mod tests {
             }
             ds.flush_all().unwrap();
             // Old-data query must NOT return the stale versions.
-            let r = filter_scan_count(&ds, None, Some(&Value::Int(10))).unwrap();
+            let r = ds.filter_scan().range_to(10).count().unwrap();
             assert_eq!(r.matches, 1, "{s:?}"); // only id=10 (time 10) remains
                                                // Recent-data query sees the moved records.
-            let r = filter_scan_count(&ds, Some(&Value::Int(290)), None).unwrap();
+            let r = ds.filter_scan().range_from(290).count().unwrap();
             assert_eq!(r.matches, 10 + 10, "{s:?}"); // ids 0..10 + 290..300
         }
     }
@@ -719,7 +702,7 @@ mod tests {
         // time (Figure 3), so an old-data query must include the memory
         // component and see the deletion.
         ds.upsert(&rec(5, 299)).unwrap();
-        let r = filter_scan_count(&ds, None, Some(&Value::Int(10))).unwrap();
+        let r = ds.filter_scan().range_to(10).count().unwrap();
         assert_eq!(r.matches, 10); // ids 0..11 minus the moved id 5
     }
 
@@ -733,7 +716,7 @@ mod tests {
         ds.flush_all().unwrap();
         // Old-data query: old components' filters unchanged, deletes are in
         // the bitmaps — pruning power intact (Figure 19's key effect).
-        let r = filter_scan_count(&ds, None, Some(&Value::Int(10))).unwrap();
+        let r = ds.filter_scan().range_to(10).count().unwrap();
         assert_eq!(r.components_pruned, 3); // two newer + ... of 4 comps
         assert_eq!(r.matches, 1);
     }
@@ -754,7 +737,7 @@ mod tests {
             ds.upsert(&rec(0, 100)).unwrap();
             // Old-data query: mem filter misses, but the stale version of
             // id 0 must still be overridden.
-            let r = filter_scan_count(&ds, None, Some(&Value::Int(10))).unwrap();
+            let r = ds.filter_scan().range_to(10).count().unwrap();
             assert_eq!(r.matches, 2, "{s:?}: stale version leaked");
         }
     }
@@ -764,7 +747,6 @@ mod tests {
         let schema = Schema::new(vec![("id", FieldType::Int)]).unwrap();
         let cfg = DatasetConfig::new(schema, 0);
         let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
-        assert!(filter_scan_count(&ds, None, None).is_err());
         assert!(ds.filter_scan().count().is_err());
     }
 
@@ -858,5 +840,25 @@ mod tests {
             ds.stats().snapshot().parallel_filter_scans,
             after.parallel_filter_scans
         );
+    }
+
+    /// Serial and partitioned counts share one plan capture, so they
+    /// report the same pruning statistics as well as the same matches.
+    #[test]
+    fn parallel_count_reports_serial_pruning() {
+        for s in all_strategies() {
+            let ds = dataset(s);
+            load(&ds);
+            for (lo, hi) in [(0i64, 99i64), (150, 249), (250, 299), (0, 299)] {
+                let serial = ds.filter_scan().range(lo, hi).count().unwrap();
+                for n in [1, 4] {
+                    let par = ds.filter_scan().range(lo, hi).parallel(n).count().unwrap();
+                    let ctx = format!("{s:?} [{lo},{hi}] parallel({n})");
+                    assert_eq!(par.matches, serial.matches, "{ctx}");
+                    assert_eq!(par.components_scanned, serial.components_scanned, "{ctx}");
+                    assert_eq!(par.components_pruned, serial.components_pruned, "{ctx}");
+                }
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! plus an unflushed tail) is mirrored into a `BTreeMap`; the same
 //! filter predicates then run through the serial collecting path, the
 //! partitioned path at several fan-outs, and both streams, across all four
-//! maintenance strategies and all three leaf-page encodings. Every path must
+//! maintenance strategies and both leaf-page encodings. Every path must
 //! return *identical* records in primary-key order, matching the mirror —
 //! including while background flushes, merges, and delete traffic churn
 //! components underneath the scans.
@@ -162,11 +162,7 @@ const RANGES: [(Option<i64>, Option<i64>); 6] = [
 
 #[test]
 fn filter_scan_matches_oracle_across_strategies_and_encodings() {
-    for encoding in [
-        LeafEncoding::Plain,
-        LeafEncoding::Prefix,
-        LeafEncoding::Columnar,
-    ] {
+    for encoding in LeafEncoding::ALL {
         for (i, strategy) in all_strategies().into_iter().enumerate() {
             let ds = Dataset::open(storage(encoding), None, config(strategy)).unwrap();
             let mut mirror = BTreeMap::new();
@@ -181,15 +177,11 @@ fn filter_scan_matches_oracle_across_strategies_and_encodings() {
 
 /// Scans race background flushes, merges, and delete traffic driven by a
 /// churn writer whose operations leave the logical content unchanged:
-/// every path must keep agreeing with the mirror throughout, on all three leaf
+/// every path must keep agreeing with the mirror throughout, on both leaf
 /// encodings.
 #[test]
 fn filter_scan_matches_oracle_under_background_churn() {
-    for encoding in [
-        LeafEncoding::Plain,
-        LeafEncoding::Prefix,
-        LeafEncoding::Columnar,
-    ] {
+    for encoding in LeafEncoding::ALL {
         for strategy in [StrategyKind::Validation, StrategyKind::MutableBitmap] {
             let runtime = MaintenanceRuntime::start(
                 EngineConfig::builder()

@@ -25,17 +25,11 @@ fn storage(encoding: LeafEncoding) -> Arc<Storage> {
     })
 }
 
-const ALL_ENCODINGS: [LeafEncoding; 3] = [
-    LeafEncoding::Plain,
-    LeafEncoding::Prefix,
-    LeafEncoding::Columnar,
-];
-
 /// Pinned scan entries outlive the merge that destroys their source
 /// components, on every leaf encoding.
 #[test]
 fn pinned_values_survive_component_retirement() {
-    for encoding in ALL_ENCODINGS {
+    for encoding in LeafEncoding::ALL {
         let storage = storage(encoding);
         let tree = lsm_tree::LsmTree::new(storage.clone(), lsm_tree::LsmOptions::default());
         let mut want: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -96,7 +90,7 @@ fn rec(id: i64, val: i64) -> Record {
 /// flushes and full merges retire the components it is reading from.
 #[test]
 fn record_stream_survives_concurrent_flush_and_merge() {
-    for encoding in ALL_ENCODINGS {
+    for encoding in LeafEncoding::ALL {
         let mut cfg = DatasetConfig::new(schema(), 0);
         cfg.strategy = StrategyKind::Validation;
         cfg.memory_budget = usize::MAX; // flushes under test control

@@ -30,12 +30,8 @@ pub type PageNo = u32;
 /// earlier versions wrote. `Prefix` shares key prefixes between adjacent
 /// entries with restart points every K entries, trading a little decode CPU
 /// for smaller leaves — and therefore more entries per buffer-cache page.
-/// `Columnar` keeps the same key compression but splits each page into a
-/// key strip and a value strip, so index-only scans and probe filtering
-/// read keys without ever decoding value bytes, and each value comes out
-/// as one contiguous page slice (the zero-copy fetch path). Readers detect
-/// the encoding per page, so mixed-encoding trees (old components plus new
-/// flushes) need no migration.
+/// Readers detect the encoding per page, so mixed-encoding trees (old
+/// components plus new flushes) need no migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LeafEncoding {
     /// The original slot-directory format; the default.
@@ -43,17 +39,25 @@ pub enum LeafEncoding {
     Plain,
     /// Prefix-compressed entries with periodic restart points.
     Prefix,
-    /// Separate in-page key and value strips; keys prefix-compressed.
-    Columnar,
 }
 
 impl LeafEncoding {
+    /// Every encoding, in declaration order — the one list that tests,
+    /// oracles and sweeps iterate.
+    ///
+    /// ```
+    /// use lsm_storage::LeafEncoding;
+    /// for encoding in LeafEncoding::ALL {
+    ///     assert_eq!(LeafEncoding::parse(encoding.name()), Some(encoding));
+    /// }
+    /// ```
+    pub const ALL: [LeafEncoding; 2] = [LeafEncoding::Plain, LeafEncoding::Prefix];
+
     /// Short name for reports and repro lines.
     pub fn name(self) -> &'static str {
         match self {
             LeafEncoding::Plain => "plain",
             LeafEncoding::Prefix => "prefix",
-            LeafEncoding::Columnar => "columnar",
         }
     }
 
@@ -62,7 +66,6 @@ impl LeafEncoding {
         match s {
             "plain" => Some(LeafEncoding::Plain),
             "prefix" => Some(LeafEncoding::Prefix),
-            "columnar" => Some(LeafEncoding::Columnar),
             _ => None,
         }
     }
@@ -925,5 +928,25 @@ mod tests {
         assert_eq!(s.total_bytes(), 150);
         s.delete_file(f1).unwrap();
         assert_eq!(s.total_bytes(), 50);
+    }
+
+    #[test]
+    fn leaf_encoding_all_is_distinct_and_starts_at_default() {
+        assert_eq!(LeafEncoding::ALL[0], LeafEncoding::default());
+        let names: std::collections::HashSet<_> = LeafEncoding::ALL.map(|e| e.name()).into();
+        assert_eq!(names.len(), LeafEncoding::ALL.len());
+    }
+
+    #[test]
+    fn leaf_encoding_names_are_stable() {
+        // Repro lines and reports carry these strings.
+        assert_eq!(LeafEncoding::ALL.map(|e| e.name()), ["plain", "prefix"]);
+    }
+
+    #[test]
+    fn leaf_encoding_parse_rejects_unknown_names() {
+        for s in ["", "Plain", "PREFIX", " plain", "prefix ", "lz4"] {
+            assert_eq!(LeafEncoding::parse(s), None, "{s:?}");
+        }
     }
 }

@@ -45,7 +45,7 @@ OPTIONS:
                         crash-flush-install | crash-merge-install |
                         crash-checkpoint | torn-wal-write |
                         short-wal-write | transient-flush | transient-read
-  --leaf-encoding <E>   plain | prefix | columnar
+  --leaf-encoding <E>   plain | prefix
   --failures-file <P>   where to write failing repro lines
                         (default torture-failures.txt, written only on failure)
   --help                this text

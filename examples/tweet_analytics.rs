@@ -9,8 +9,6 @@
 //! selectivities (comparing naive vs fully optimized index-to-index
 //! navigation, Section 3.2) and time-window scans over the range filter.
 
-use lsm_common::Value;
-use lsm_engine::query::filter_scan_count;
 use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
 use lsm_storage::{Storage, StorageOptions};
 use lsm_workload::{
@@ -102,18 +100,20 @@ fn main() {
     );
 
     println!("\ntime-window scans (range filter on creation_time):");
-    for (name, lo, hi) in [
+    for (name, scan) in [
         (
             "most recent day ",
-            Some(Value::Int(max_time - max_time / 730)),
-            None,
+            ds.filter_scan().range_from(max_time - max_time / 730),
         ),
-        ("oldest day      ", None, Some(Value::Int(max_time / 730))),
+        (
+            "oldest day      ",
+            ds.filter_scan().range_to(max_time / 730),
+        ),
     ] {
         ds.storage().clear_cache();
         let clock = ds.storage().clock();
         let t0 = clock.now_secs();
-        let r = filter_scan_count(&ds, lo.as_ref(), hi.as_ref()).expect("scan");
+        let r = scan.count().expect("scan");
         println!(
             "  {name}: {} tweets, {}/{} components pruned, {:.2} sim-ms",
             r.matches,
