@@ -124,14 +124,12 @@ impl Record {
         &self.values[idx]
     }
 
-    /// Serializes the record to bytes (length-prefixed memcomparable values;
-    /// the encoding is self-delimiting so no schema is needed to decode).
+    /// Serializes the record to bytes: the concatenated memcomparable
+    /// encodings of its values. Each encoding is self-delimiting, so no
+    /// schema is needed to decode. The buffer is allocated once, at its
+    /// exact length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for v in &self.values {
-            v.encode_into(&mut out);
-        }
-        out
+        crate::value::encode_composite(&self.values)
     }
 
     /// Deserializes a record produced by [`Record::encode`].

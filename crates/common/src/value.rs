@@ -14,6 +14,13 @@
 //! * `Str(String)`→ tag `0x02` + bytes with `0x00` escaped as `0x00 0xFF`,
 //!   terminated by `0x00 0x00` (the standard escape/terminator scheme);
 //! * `Null`       → tag `0x00` (sorts before everything).
+//!
+//! The string codec works one run at a time: it finds the next `0x00` with
+//! a word-at-a-time scan (eight bytes per step, in safe Rust) and copies the
+//! whole run before it with `extend_from_slice`, so a string with no `0x00`
+//! is a single copy. Every buffer is sized once: encoders reserve
+//! [`Value::encoded_len`], a decoded string is allocated at its final
+//! length, and [`decode_composite`] allocates its `Vec` at its exact size.
 
 use crate::error::{Error, Result};
 use std::fmt;
@@ -45,13 +52,13 @@ impl Value {
             }
             Value::Str(s) => {
                 out.push(TAG_STR);
-                for &b in s.as_bytes() {
-                    if b == 0x00 {
-                        out.extend_from_slice(&[0x00, 0xFF]);
-                    } else {
-                        out.push(b);
-                    }
+                let mut rest = s.as_bytes();
+                while let Some(nul) = find_nul(rest) {
+                    out.extend_from_slice(&rest[..nul]);
+                    out.extend_from_slice(&[0x00, 0xFF]);
+                    rest = &rest[nul + 1..];
                 }
+                out.extend_from_slice(rest);
                 out.extend_from_slice(&[0x00, 0x00]);
             }
         }
@@ -69,54 +76,56 @@ impl Value {
         match self {
             Value::Null => 1,
             Value::Int(_) => 9,
-            Value::Str(s) => 1 + s.bytes().filter(|&b| b == 0).count() + s.len() + 2,
+            Value::Str(s) => {
+                let mut escapes = 0;
+                let mut rest = s.as_bytes();
+                while let Some(nul) = find_nul(rest) {
+                    escapes += 1;
+                    rest = &rest[nul + 1..];
+                }
+                1 + s.len() + escapes + 2
+            }
         }
     }
 
     /// Decodes one value from the front of `buf`, returning it and the number
     /// of bytes consumed.
     pub fn decode_from(buf: &[u8]) -> Result<(Value, usize)> {
-        let tag = *buf
-            .first()
-            .ok_or_else(|| Error::corruption("empty value"))?;
-        match tag {
-            TAG_NULL => Ok((Value::Null, 1)),
+        let Extent { len, escapes } = extent(buf)?;
+        let value = match buf[0] {
+            TAG_NULL => Value::Null,
             TAG_INT => {
-                if buf.len() < 9 {
-                    return Err(Error::corruption("short int encoding"));
-                }
                 let mut raw = [0u8; 8];
                 raw.copy_from_slice(&buf[1..9]);
-                let v = (u64::from_be_bytes(raw) ^ (1 << 63)) as i64;
-                Ok((Value::Int(v), 9))
+                Value::Int((u64::from_be_bytes(raw) ^ (1 << 63)) as i64)
             }
-            TAG_STR => {
-                let mut bytes = Vec::new();
-                let mut i = 1;
-                loop {
-                    match buf.get(i) {
-                        None => return Err(Error::corruption("unterminated string")),
-                        Some(0x00) => match buf.get(i + 1) {
-                            Some(0x00) => {
-                                let s = String::from_utf8(bytes)
-                                    .map_err(|_| Error::corruption("invalid utf8"))?;
-                                return Ok((Value::Str(s), i + 2));
-                            }
-                            Some(0xFF) => {
-                                bytes.push(0x00);
-                                i += 2;
-                            }
-                            _ => return Err(Error::corruption("bad string escape")),
-                        },
-                        Some(&b) => {
-                            bytes.push(b);
-                            i += 1;
-                        }
-                    }
-                }
+            // `extent` rejected every other tag, so this is a string.
+            _ => {
+                let escaped = &buf[1..len - 2];
+                let bytes = if escapes == 0 {
+                    escaped.to_vec()
+                } else {
+                    unescape(escaped, escapes)
+                };
+                Value::Str(String::from_utf8(bytes).map_err(|_| invalid_utf8())?)
             }
-            t => Err(Error::corruption(format!("unknown value tag {t:#x}"))),
+        };
+        Ok((value, len))
+    }
+
+    /// Length of the value encoded at the front of `buf`, which is checked
+    /// exactly as [`Value::decode_from`] checks it; a string without
+    /// escapes is checked in place rather than copied.
+    pub fn skip(buf: &[u8]) -> Result<usize> {
+        let Extent { len, escapes } = extent(buf)?;
+        if buf[0] == TAG_STR {
+            if escapes == 0 {
+                std::str::from_utf8(&buf[1..len - 2]).map_err(|_| invalid_utf8())?;
+            } else {
+                Value::decode_from(buf)?;
+            }
         }
+        Ok(len)
     }
 
     /// Decodes a value that must occupy the whole buffer.
@@ -173,6 +182,93 @@ impl From<String> for Value {
     }
 }
 
+/// Where the value encoded at the front of a buffer ends, and for a
+/// string how many `0x00` bytes it escapes.
+struct Extent {
+    len: usize,
+    escapes: usize,
+}
+
+/// Finds the end of the value at the front of `buf` without decoding it,
+/// rejecting an empty buffer, an unknown tag, a short int, an unterminated
+/// string and a bad escape. UTF-8 is left to the caller.
+fn extent(buf: &[u8]) -> Result<Extent> {
+    let tag = *buf
+        .first()
+        .ok_or_else(|| Error::corruption("empty value"))?;
+    match tag {
+        TAG_NULL => Ok(Extent { len: 1, escapes: 0 }),
+        TAG_INT if buf.len() < 9 => Err(Error::corruption("short int encoding")),
+        TAG_INT => Ok(Extent { len: 9, escapes: 0 }),
+        TAG_STR => {
+            let mut escapes = 0;
+            let mut pos = 1;
+            loop {
+                let nul = find_nul(&buf[pos..])
+                    .ok_or_else(|| Error::corruption("unterminated string"))?;
+                match buf.get(pos + nul + 1) {
+                    Some(0x00) => {
+                        return Ok(Extent {
+                            len: pos + nul + 2,
+                            escapes,
+                        })
+                    }
+                    Some(0xFF) => {
+                        escapes += 1;
+                        pos += nul + 2;
+                    }
+                    _ => return Err(Error::corruption("bad string escape")),
+                }
+            }
+        }
+        t => Err(Error::corruption(format!("unknown value tag {t:#x}"))),
+    }
+}
+
+/// Undoes the `0x00 0xFF` escapes of a string body that [`extent`] has
+/// checked, copying each run between escapes whole into one buffer of the
+/// final size.
+fn unescape(mut escaped: &[u8], escapes: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(escaped.len() - escapes);
+    while let Some(nul) = find_nul(escaped) {
+        out.extend_from_slice(&escaped[..=nul]);
+        escaped = &escaped[nul + 2..];
+    }
+    out.extend_from_slice(escaped);
+    out
+}
+
+fn invalid_utf8() -> Error {
+    Error::corruption("invalid utf8")
+}
+
+/// Position of the first `0x00` in `bytes`, testing eight bytes per step.
+///
+/// For a little-endian word `w`, `(w - 0x0101..01) & !w & 0x8080..80` sets
+/// the top bit of every zero byte. A borrow can also set it in a byte
+/// above a zero byte, but never below the first one, so the lowest set bit
+/// marks the first zero.
+fn find_nul(bytes: &[u8]) -> Option<usize> {
+    const LOW: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(word);
+        let w = u64::from_le_bytes(raw);
+        let zeros = w.wrapping_sub(LOW) & !w & HIGH;
+        if zeros != 0 {
+            return Some(i * 8 + (zeros.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = bytes.len() - words.remainder().len();
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == 0x00)
+        .map(|i| tail + i)
+}
+
 /// Encodes a composite key from value parts (e.g. `(secondary, primary)`).
 pub fn encode_composite(parts: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(parts.iter().map(Value::encoded_len).sum());
@@ -183,12 +279,34 @@ pub fn encode_composite(parts: &[Value]) -> Vec<u8> {
 }
 
 /// Decodes all value parts of a composite key.
-pub fn decode_composite(mut buf: &[u8]) -> Result<Vec<Value>> {
-    let mut parts = Vec::new();
-    while !buf.is_empty() {
-        let (v, n) = Value::decode_from(buf)?;
+pub fn decode_composite(buf: &[u8]) -> Result<Vec<Value>> {
+    // Keys and records have a few parts: decode up to `HEAD` of them onto
+    // the stack in one pass. Only a wider composite is scanned for its part
+    // count. Either way the `Vec` is allocated once, at its exact size.
+    const HEAD: usize = 8;
+    let mut head = [const { Value::Null }; HEAD];
+    let mut n = 0;
+    let mut rest = buf;
+    while n < HEAD && !rest.is_empty() {
+        let used;
+        (head[n], used) = Value::decode_from(rest)?;
+        n += 1;
+        rest = &rest[used..];
+    }
+    let mut more = 0;
+    let mut pos = 0;
+    while pos < rest.len() {
+        pos += extent(&rest[pos..])?.len;
+        more += 1;
+    }
+    let mut parts = Vec::with_capacity(n + more);
+    for v in &mut head[..n] {
+        parts.push(std::mem::replace(v, Value::Null));
+    }
+    while !rest.is_empty() {
+        let (v, used) = Value::decode_from(rest)?;
         parts.push(v);
-        buf = &buf[n..];
+        rest = &rest[used..];
     }
     Ok(parts)
 }

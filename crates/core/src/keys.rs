@@ -5,7 +5,6 @@
 //! primary key (Section 3), so duplicate secondary keys are handled by the
 //! ordinary key ordering.
 
-use lsm_common::value::{decode_composite, encode_composite};
 use lsm_common::{Error, Key, Result, Value};
 use std::ops::Bound;
 
@@ -21,21 +20,33 @@ pub fn decode_pk(key: &[u8]) -> Result<Value> {
 
 /// Encodes a secondary index key `(secondary key, primary key)`.
 pub fn encode_sk_pk(sk: &Value, pk: &Value) -> Key {
-    encode_composite(&[sk.clone(), pk.clone()])
+    let mut key = Vec::with_capacity(sk.encoded_len() + pk.encoded_len());
+    sk.encode_into(&mut key);
+    pk.encode_into(&mut key);
+    key
 }
 
-/// Splits a secondary index key back into `(secondary key, primary key)`.
-pub fn decode_sk_pk(key: &[u8]) -> Result<(Value, Value)> {
-    let parts = decode_composite(key)?;
-    if parts.len() != 2 {
+/// Splits a secondary index key into the encodings of its secondary key
+/// and primary key, borrowed from `key`. Both parts are checked as
+/// decoding would check them, but neither is decoded. The encoding is
+/// canonical, so the primary-key part is the primary index's key.
+pub fn split_sk_pk(key: &[u8]) -> Result<(&[u8], &[u8])> {
+    let mut parts = 0;
+    let mut sk_len = 0;
+    let mut pos = 0;
+    while pos < key.len() {
+        pos += Value::skip(&key[pos..])?;
+        parts += 1;
+        if parts == 1 {
+            sk_len = pos;
+        }
+    }
+    if parts != 2 {
         return Err(Error::corruption(format!(
-            "secondary key with {} parts",
-            parts.len()
+            "secondary key with {parts} parts"
         )));
     }
-    let mut it = parts.into_iter();
-    // INVARIANT: `parts.len() == 2` was checked above; both calls yield.
-    Ok((it.next().unwrap(), it.next().unwrap()))
+    Ok(key.split_at(sk_len))
 }
 
 /// Borrows an owned key bound as the byte-slice bound the scan layer takes
@@ -87,8 +98,29 @@ mod tests {
     fn sk_pk_roundtrip() {
         let (sk, pk) = (Value::Str("CA".into()), Value::Int(101));
         let k = encode_sk_pk(&sk, &pk);
-        assert_eq!(decode_sk_pk(&k).unwrap(), (sk, pk));
-        assert!(decode_sk_pk(&encode_pk(&Value::Int(1))).is_err());
+        let (sk_key, pk_key) = split_sk_pk(&k).unwrap();
+        assert_eq!(Value::decode_exact(sk_key).unwrap(), sk);
+        assert_eq!(pk_key, encode_pk(&pk).as_slice());
+        assert!(split_sk_pk(&encode_pk(&Value::Int(1))).is_err());
+    }
+
+    #[test]
+    fn split_sk_pk_rejects_malformed_keys() {
+        let good = encode_sk_pk(&Value::Str("a\0b".into()), &Value::Int(7));
+        assert!(split_sk_pk(&good).is_ok());
+        let three = [good.clone(), Value::Null.encode()].concat();
+        let mut bad_utf8 = encode_sk_pk(&Value::Str("ab".into()), &Value::Int(7));
+        bad_utf8[1] = 0xC3; // a lead byte followed by `b`
+        let truncated = good[..good.len() - 1].to_vec();
+        for key in [Vec::new(), three, bad_utf8, truncated] {
+            assert!(split_sk_pk(&key).is_err(), "{key:?}");
+        }
+        assert_eq!(
+            split_sk_pk(&Value::Int(1).encode())
+                .unwrap_err()
+                .to_string(),
+            Error::corruption("secondary key with 1 parts").to_string()
+        );
     }
 
     #[test]

@@ -82,9 +82,9 @@ pub(crate) fn scan_candidates(
             let comp = &comps[idx];
             (comp.repaired_ts(), comp.id(), Some((idx, ordinal)))
         };
-        let (_, pk) = crate::keys::decode_sk_pk(&key)?;
+        let (_, pk_key) = crate::keys::split_sk_pk(&key)?;
         candidates.push(Candidate {
-            pk_key: pk.encode(),
+            pk_key: pk_key.to_vec(),
             ts: entry.ts,
             repaired_ts,
             source_id,
@@ -207,13 +207,15 @@ pub(crate) fn direct_predicate_holds(
 fn fetch_records(
     ds: &Dataset,
     sec: &SecondaryIndex,
-    candidates: &[Candidate],
+    candidates: Vec<Candidate>,
     lo: Option<&Value>,
     hi: Option<&Value>,
     opts: &QueryOptions,
 ) -> Result<Vec<Record>> {
-    let keys: Vec<Key> = candidates.iter().map(|c| c.pk_key.clone()).collect();
-    let hints: Vec<ComponentId> = candidates.iter().map(|c| c.source_id).collect();
+    let (keys, hints): (Vec<Key>, Vec<ComponentId>) = candidates
+        .into_iter()
+        .map(|c| (c.pk_key, c.source_id))
+        .unzip();
     let keys_per_batch = keys_per_batch(ds, opts.batch_bytes);
     let lopts = LookupOptions {
         batched: opts.batched,
@@ -271,7 +273,7 @@ pub(crate) fn execute(
         return Ok(QueryResult::Keys(keys));
     }
 
-    let mut records = fetch_records(ds, sec, &candidates, lo, hi, opts)?;
+    let mut records = fetch_records(ds, sec, candidates, lo, hi, opts)?;
 
     if opts.index_only {
         // Direct validation + index-only still had to fetch records.

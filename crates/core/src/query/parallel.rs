@@ -194,7 +194,7 @@ pub(crate) fn gather_parallel(
 #[allow(clippy::too_many_arguments)]
 fn fetch_parallel(
     ds: &Arc<Dataset>,
-    candidates: &[Candidate],
+    candidates: Vec<Candidate>,
     sec_field: usize,
     lo: Option<&Value>,
     hi: Option<&Value>,
@@ -215,18 +215,22 @@ fn fetch_parallel(
     let comps: Arc<Vec<Arc<DiskComponent>>> = Arc::new(comps);
 
     let keys_per_batch = exec::keys_per_batch(ds, opts.batch_bytes);
-    let chunk_len = candidates.len().div_ceil(parallelism.max(1));
+    let chunk_len = candidates.len().div_ceil(parallelism.max(1)).max(1);
+    let n_chunks = candidates.len().div_ceil(chunk_len);
     let opts = *opts;
     let lo = lo.cloned();
     let hi = hi.cloned();
-    let tasks: Vec<TaskFn<Result<Vec<Record>>>> = candidates
-        .chunks(chunk_len.max(1))
-        .map(|chunk| {
+    let mut pending = candidates.into_iter();
+    let tasks: Vec<TaskFn<Result<Vec<Record>>>> = (0..n_chunks)
+        .map(|_| {
             let ds = ds.clone();
             let mem = mem.clone();
             let comps = comps.clone();
-            let keys: Vec<Key> = chunk.iter().map(|c| c.pk_key.clone()).collect();
-            let hints: Vec<ComponentId> = chunk.iter().map(|c| c.source_id).collect();
+            let (keys, hints): (Vec<Key>, Vec<ComponentId>) = pending
+                .by_ref()
+                .take(chunk_len)
+                .map(|c| (c.pk_key, c.source_id))
+                .unzip();
             let (lo, hi) = (lo.clone(), hi.clone());
             let task = move || {
                 let lopts = LookupOptions {
@@ -322,7 +326,7 @@ pub(crate) fn execute_parallel(
 
     let records = fetch_parallel(
         ds,
-        &candidates,
+        candidates,
         sec_field,
         lo,
         hi,

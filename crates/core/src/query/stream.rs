@@ -59,8 +59,10 @@ impl<'a> RecordStream<'a> {
         }
         let sec = ds.secondary(index)?;
         let candidates = exec::gather_candidates(ds, sec, lo.as_ref(), hi.as_ref(), opts)?;
-        let keys = candidates.iter().map(|c| c.pk_key.clone()).collect();
-        let hints = candidates.iter().map(|c| c.source_id).collect();
+        let (keys, hints) = candidates
+            .into_iter()
+            .map(|c| (c.pk_key, c.source_id))
+            .unzip();
         Ok(Self::from_candidates(
             ds, keys, hints, sec.field, lo, hi, opts, limit,
         ))

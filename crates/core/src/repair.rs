@@ -20,7 +20,7 @@
 //!   emit secondary anti-matter — paying full-record I/O.
 
 use crate::dataset::Dataset;
-use crate::keys::{decode_sk_pk, encode_sk_pk};
+use crate::keys::{encode_sk_pk, split_sk_pk};
 use lsm_common::{Key, Record, Result, Timestamp};
 use lsm_tree::{
     newest_disk_version_after, AtomicBitmap, ComponentBuilder, ComponentId, DiskComponent,
@@ -244,8 +244,7 @@ pub(crate) fn merge_repair(
             continue; // anti-matter needs no validation
         }
         if bloom_opt {
-            let (_, pk) = decode_sk_pk(&key)?;
-            let pk_key = pk.encode();
+            let pk_key = split_sk_pk(&key)?.1.to_vec();
             // Per-entry pruning: a component whose maxTS is at or below the
             // entry's own timestamp cannot contain a newer version.
             let touched = unpruned
@@ -262,9 +261,8 @@ pub(crate) fn merge_repair(
                 position,
             });
         } else {
-            let (_, pk) = decode_sk_pk(&key)?;
             candidates.push(Candidate {
-                pkey: pk.encode(),
+                pkey: split_sk_pk(&key)?.1.to_vec(),
                 ts: entry.ts,
                 position,
             });
@@ -327,8 +325,7 @@ pub(crate) fn standalone_repair(
             if entry.anti_matter {
                 continue;
             }
-            let (_, pk) = decode_sk_pk(&key)?;
-            let pk_key = pk.encode();
+            let pk_key = split_sk_pk(&key)?.1.to_vec();
             if bloom_opt {
                 let touched = unpruned
                     .iter()

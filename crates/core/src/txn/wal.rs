@@ -136,18 +136,18 @@ fn fnv1a(data: &[u8]) -> u32 {
 }
 
 impl LogRecord {
+    /// Builds the frame `[body len][body][checksum of body]` in one buffer.
     fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(18 + self.key.len() + self.value.len());
-        body.extend_from_slice(&self.lsn.to_le_bytes());
-        body.push(self.op as u8);
-        body.push(u8::from(self.update_bit));
-        body.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
-        body.extend_from_slice(&self.key);
-        body.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
-        body.extend_from_slice(&self.value);
-        let mut out = Vec::with_capacity(8 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+        let body_len = 18 + self.key.len() + self.value.len();
+        let mut out = Vec::with_capacity(4 + body_len + 4);
+        out.extend_from_slice(&(body_len as u32).to_le_bytes());
+        out.extend_from_slice(&self.lsn.to_le_bytes());
+        out.push(self.op as u8);
+        out.push(u8::from(self.update_bit));
+        out.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.key);
+        out.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.value);
         out.extend_from_slice(&fnv1a(&out[4..]).to_le_bytes());
         out
     }

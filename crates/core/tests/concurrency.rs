@@ -7,6 +7,7 @@ use lsm_engine::{Dataset, DatasetConfig, StrategyKind};
 use lsm_storage::{Storage, StorageOptions};
 use lsm_tree::MergeRange;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -48,8 +49,10 @@ fn run_concurrent_merge(method: CcMethod) {
     let stop = Arc::new(AtomicBool::new(false));
     let writer_ds = ds.clone();
     let writer_stop = stop.clone();
+    let (first_tx, first_rx) = mpsc::channel();
     // A writer upserting random-ish keys at max speed while the merge runs.
     let writer = std::thread::spawn(move || {
+        let mut first_tx = Some(first_tx);
         let mut updated = Vec::new();
         let mut x: i64 = 12345;
         let mut round: i64 = 1;
@@ -61,9 +64,15 @@ fn run_concurrent_merge(method: CcMethod) {
             writer_ds.upsert_no_maintenance(&rec(id, round)).unwrap();
             updated.push((id, round));
             round += 1;
+            if let Some(tx) = first_tx.take() {
+                tx.send(()).unwrap();
+            }
         }
         updated
     });
+    // The merge may finish before a freshly spawned thread runs at all, so
+    // start it only once the writer has made its first upsert.
+    first_rx.recv().unwrap();
 
     // Merge all four components under the chosen method.
     let range = MergeRange {
