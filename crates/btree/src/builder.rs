@@ -11,7 +11,7 @@ use crate::leaf::AnyLeafBuilder;
 use crate::page::InternalPageBuilder;
 use crate::tree::{BTree, TreeMeta, META_MAGIC};
 use lsm_common::{Error, Result};
-use lsm_storage::{FileId, LeafEncoding, Storage};
+use lsm_storage::{FileId, Storage};
 use std::sync::Arc;
 
 /// Streaming bulk loader. Feed strictly ascending keys via [`BTreeBuilder::add`],
@@ -20,51 +20,54 @@ use std::sync::Arc;
 /// Leaves are emitted in the encoding the storage was configured with
 /// ([`lsm_storage::StorageOptions::leaf_encoding`]); internal pages and the
 /// metadata page are encoding-independent.
+///
+/// Entries stream through with no per-entry allocation: the open leaf, the
+/// serialized-page buffer and the last-key buffer are reused from page to
+/// page, so a build allocates per leaf page (its router key and the stored
+/// page), not per entry.
 pub struct BTreeBuilder {
     storage: Arc<Storage>,
     file: FileId,
-    page_size: usize,
-    encoding: LeafEncoding,
     leaf: AnyLeafBuilder,
+    /// Serialized-leaf buffer handed to [`Storage::append_page`], reused.
+    page: Vec<u8>,
     /// `(first_key, page_no)` of each completed leaf, for the router levels.
     leaf_index: Vec<(Vec<u8>, u32)>,
     next_page: u32,
     num_entries: u64,
+    /// The first key added; recorded in the metadata page.
     min_key: Option<Vec<u8>>,
-    max_key: Option<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
+    /// The newest key added (meaningful once `num_entries > 0`), refilled in
+    /// place by every add. It enforces strict ascent and becomes the
+    /// metadata page's max key at [`BTreeBuilder::finish`].
+    last_key: Vec<u8>,
 }
 
 impl BTreeBuilder {
     /// Starts building a tree in a fresh file of `storage`.
     pub fn new(storage: Arc<Storage>) -> Self {
         let file = storage.create_file();
-        let page_size = storage.page_size();
-        let encoding = storage.leaf_encoding();
+        let leaf = AnyLeafBuilder::new(storage.leaf_encoding(), storage.page_size(), 0);
         BTreeBuilder {
             storage,
             file,
-            page_size,
-            encoding,
-            leaf: AnyLeafBuilder::new(encoding, page_size, 0),
+            leaf,
+            page: Vec::new(),
             leaf_index: Vec::new(),
             next_page: 0,
             num_entries: 0,
             min_key: None,
-            max_key: None,
-            last_key: None,
+            last_key: Vec::new(),
         }
     }
 
     /// Appends an entry. Keys must be strictly ascending.
     pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        if let Some(last) = &self.last_key {
-            if key <= last.as_slice() {
-                return Err(Error::invalid(format!(
-                    "bulk load keys must be strictly ascending ({:02x?} after {:02x?})",
-                    key, last
-                )));
-            }
+        if self.num_entries > 0 && key <= self.last_key.as_slice() {
+            return Err(Error::invalid(format!(
+                "bulk load keys must be strictly ascending ({:02x?} after {:02x?})",
+                key, self.last_key
+            )));
         }
         if !self.leaf.fits(key, value) {
             if self.leaf.is_empty() {
@@ -77,8 +80,8 @@ impl BTreeBuilder {
         if self.min_key.is_none() {
             self.min_key = Some(key.to_vec());
         }
-        self.max_key = Some(key.to_vec());
-        self.last_key = Some(key.to_vec());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         Ok(())
     }
 
@@ -94,28 +97,23 @@ impl BTreeBuilder {
         self.num_entries
     }
 
+    /// Writes the open leaf and reopens it empty. Every entry added so far
+    /// sits in a completed leaf afterwards, so the next leaf's base ordinal
+    /// is `num_entries`.
     fn flush_leaf(&mut self) -> Result<()> {
         let first = self
             .leaf
             .first_key()
             .expect("flush_leaf on empty leaf")
             .to_vec();
-        let next_base = self.leaf.count() as u64 + self.leaf_base();
-        let page = std::mem::replace(
-            &mut self.leaf,
-            AnyLeafBuilder::new(self.encoding, self.page_size, next_base),
-        );
-        let data = page.finish();
-        let page_no = self.storage.append_page(self.file, &data)?;
+        self.page.clear();
+        self.leaf.write_to(&mut self.page);
+        self.leaf.reset(self.num_entries);
+        let page_no = self.storage.append_page(self.file, &self.page)?;
         debug_assert_eq!(page_no, self.next_page);
         self.leaf_index.push((first, self.next_page));
         self.next_page += 1;
         Ok(())
-    }
-
-    fn leaf_base(&self) -> u64 {
-        // Entries in completed leaves = total added minus those in the open leaf.
-        self.num_entries - self.leaf.count() as u64
     }
 
     /// Finalizes the tree and returns a reader over it.
@@ -124,6 +122,7 @@ impl BTreeBuilder {
             self.flush_leaf()?;
         }
         let num_leaves = self.next_page;
+        let page_size = self.storage.page_size();
 
         // Build router levels bottom-up until a single root remains.
         let mut level: Vec<(Vec<u8>, u32)> = self.leaf_index.clone();
@@ -132,11 +131,10 @@ impl BTreeBuilder {
         while level.len() > 1 {
             height += 1;
             let mut next_level: Vec<(Vec<u8>, u32)> = Vec::new();
-            let mut builder = InternalPageBuilder::new(self.page_size);
+            let mut builder = InternalPageBuilder::new(page_size);
             for (key, child) in &level {
                 if !builder.fits(key) && !builder.is_empty() {
-                    let done =
-                        std::mem::replace(&mut builder, InternalPageBuilder::new(self.page_size));
+                    let done = std::mem::replace(&mut builder, InternalPageBuilder::new(page_size));
                     let first = done.first_key().unwrap().to_vec();
                     let page_no = self.storage.append_page(self.file, &done.finish())?;
                     next_level.push((first, page_no));
@@ -157,8 +155,8 @@ impl BTreeBuilder {
             height,
             num_leaves,
             num_entries: self.num_entries,
+            max_key: self.min_key.is_some().then_some(self.last_key),
             min_key: self.min_key,
-            max_key: self.max_key,
         };
         let mut meta_page = Vec::new();
         meta_page.extend_from_slice(&META_MAGIC.to_le_bytes());
@@ -168,7 +166,7 @@ impl BTreeBuilder {
         meta_page.extend_from_slice(&meta.num_entries.to_le_bytes());
         put_slice(&mut meta_page, meta.min_key.as_deref().unwrap_or(b""));
         put_slice(&mut meta_page, meta.max_key.as_deref().unwrap_or(b""));
-        if meta_page.len() > self.page_size {
+        if meta_page.len() > page_size {
             return Err(Error::Storage("metadata page overflow".into()));
         }
         self.storage.append_page(self.file, &meta_page)?;

@@ -22,17 +22,14 @@ use lsm_storage::{PageNo, PageSlice};
 pub struct StatefulCursor<'t> {
     tree: &'t BTree,
     /// Current leaf and the position of the previous probe within it.
-    state: Option<CursorState>,
+    state: Option<(PageNo, usize)>,
+    /// Last key of the current leaf (meaningful while `state` is set),
+    /// refilled in place on every probe.
+    last_key: Vec<u8>,
     /// Statistics: root descents performed.
     pub descents: u64,
     /// Statistics: probes served from the remembered leaf.
     pub leaf_hits: u64,
-}
-
-struct CursorState {
-    leaf_no: PageNo,
-    pos: usize,
-    last_key: Vec<u8>,
 }
 
 impl<'t> StatefulCursor<'t> {
@@ -41,6 +38,7 @@ impl<'t> StatefulCursor<'t> {
         StatefulCursor {
             tree,
             state: None,
+            last_key: Vec::new(),
             descents: 0,
             leaf_hits: 0,
         }
@@ -57,11 +55,9 @@ impl<'t> StatefulCursor<'t> {
     /// page instead of being copied — the zero-copy batched-probe path.
     pub fn seek_pinned(&mut self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
         // Fast path: the remembered leaf still covers `key`.
-        if let Some(state) = &self.state {
-            if key <= state.last_key.as_slice() {
+        if let Some((leaf_no, from)) = self.state {
+            if key <= self.last_key.as_slice() {
                 self.leaf_hits += 1;
-                let leaf_no = state.leaf_no;
-                let from = state.pos;
                 return self.probe_leaf(leaf_no, key, from, true);
             }
         }
@@ -95,12 +91,13 @@ impl<'t> StatefulCursor<'t> {
             Ok(i) => i,
             Err(i) => i.min(leaf.count().saturating_sub(1)),
         };
-        let last_key = leaf.last_key()?.map(|k| k.into_owned()).unwrap_or_default();
-        self.state = Some(CursorState {
-            leaf_no,
-            pos,
-            last_key,
-        });
+        match leaf.count() {
+            0 => self.last_key.clear(),
+            n => {
+                leaf.entry_into(n - 1, &mut self.last_key)?;
+            }
+        }
+        self.state = Some((leaf_no, pos));
         match found {
             Ok(i) => {
                 let (_, v) = leaf.entry(i)?;

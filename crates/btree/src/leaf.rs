@@ -57,8 +57,9 @@ pub struct PrefixLeafPageBuilder {
     restarts: Vec<u32>,
     heap: Vec<u8>,
     count: usize,
-    first_key: Option<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
+    /// Key of the newest entry (meaningful once `count > 0`), reused across
+    /// adds: non-restart entries delta-encode against it.
+    last_key: Vec<u8>,
 }
 
 impl PrefixLeafPageBuilder {
@@ -78,9 +79,18 @@ impl PrefixLeafPageBuilder {
             restarts: Vec::new(),
             heap: Vec::new(),
             count: 0,
-            first_key: None,
-            last_key: None,
+            last_key: Vec::new(),
         }
+    }
+
+    /// Empties the builder for a leaf starting at `base_ordinal`, keeping
+    /// its buffers so the next page is built without allocating.
+    pub fn reset(&mut self, base_ordinal: u64) {
+        self.base_ordinal = base_ordinal;
+        self.restarts.clear();
+        self.heap.clear();
+        self.count = 0;
+        self.last_key.clear();
     }
 
     /// Bytes the page would occupy if finished now.
@@ -94,8 +104,7 @@ impl PrefixLeafPageBuilder {
         if self.count.is_multiple_of(self.restart_interval as usize) {
             4 + slice_len(key) + slice_len(value)
         } else {
-            // INVARIANT: a non-restart entry always has a predecessor.
-            let shared = shared_prefix_len(key, self.last_key.as_deref().unwrap());
+            let shared = shared_prefix_len(key, &self.last_key);
             varint_len(shared as u64)
                 + varint_len((key.len() - shared) as u64)
                 + (key.len() - shared)
@@ -125,7 +134,7 @@ impl PrefixLeafPageBuilder {
             return Err(Error::Storage("leaf page overflow".into()));
         }
         debug_assert!(
-            self.last_key.as_deref().is_none_or(|lk| lk < key),
+            self.count == 0 || self.last_key.as_slice() < key,
             "keys must be strictly ascending"
         );
         if self.heap.len() > u32::MAX as usize {
@@ -135,29 +144,29 @@ impl PrefixLeafPageBuilder {
             self.restarts.push(self.heap.len() as u32);
             put_slice(&mut self.heap, key);
         } else {
-            // INVARIANT: non-restart entries always follow a predecessor.
-            let shared = shared_prefix_len(key, self.last_key.as_deref().unwrap());
+            let shared = shared_prefix_len(key, &self.last_key);
             put_varint(&mut self.heap, shared as u64);
             put_varint(&mut self.heap, (key.len() - shared) as u64);
             self.heap.extend_from_slice(&key[shared..]);
         }
         put_slice(&mut self.heap, value);
         self.count += 1;
-        if self.first_key.is_none() {
-            self.first_key = Some(key.to_vec());
-        }
-        self.last_key = Some(key.to_vec());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         Ok(())
     }
 
-    /// First key in the page (None if empty).
+    /// First key in the page (None if empty). Entry 0 is a restart, so its
+    /// full key opens the heap.
     pub fn first_key(&self) -> Option<&[u8]> {
-        self.first_key.as_deref()
+        // INVARIANT: a non-empty heap starts with the `put_slice` record of
+        // entry 0's key.
+        (self.count > 0).then(|| get_slice(&self.heap).unwrap().0)
     }
 
-    /// Serializes the page.
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.current_size());
+    /// Appends the serialized page to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.reserve(self.current_size());
         out.extend_from_slice(&(self.base_ordinal | PREFIX_FLAG).to_le_bytes());
         out.extend_from_slice(&(self.count as u16).to_le_bytes());
         out.extend_from_slice(&self.restart_interval.to_le_bytes());
@@ -165,6 +174,12 @@ impl PrefixLeafPageBuilder {
             out.extend_from_slice(&r.to_le_bytes());
         }
         out.extend_from_slice(&self.heap);
+    }
+
+    /// Serializes the page.
+    pub fn finish(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.current_size());
+        self.write_to(&mut out);
         out
     }
 }
@@ -237,17 +252,18 @@ impl<'a> PrefixLeafPage<'a> {
 
     /// Decodes entries of restart block `r` from its start, calling `visit`
     /// with `(index, key, value)` until it returns `false` or the block
-    /// ends. The key buffer is reused across iterations.
+    /// ends. Keys are rebuilt in place in `key`, which holds the last
+    /// visited key afterwards.
     fn walk_block(
         &self,
         r: usize,
+        key: &mut Vec<u8>,
         mut visit: impl FnMut(usize, &[u8], &'a [u8]) -> bool,
     ) -> Result<()> {
         let heap = self.heap();
         let mut pos = self.restart_offset(r);
         let start = r * self.restart_interval;
         let end = (start + self.restart_interval).min(self.count);
-        let mut key: Vec<u8> = Vec::new();
         for i in start..end {
             let rest = heap
                 .get(pos..)
@@ -273,7 +289,7 @@ impl<'a> PrefixLeafPage<'a> {
                 value = v;
                 pos += a + b + suffix_len + m;
             }
-            if !visit(i, &key, value) {
+            if !visit(i, key, value) {
                 return Ok(());
             }
         }
@@ -295,17 +311,25 @@ impl<'a> PrefixLeafPage<'a> {
             let (v, _) = get_slice(&rest[n..])?;
             return Ok((Cow::Borrowed(k), v));
         }
-        let mut out: Option<(Vec<u8>, &'a [u8])> = None;
-        self.walk_block(r, |i, k, v| {
+        let mut key = Vec::new();
+        let v = self.entry_into(idx, &mut key)?;
+        Ok((Cow::Owned(key), v))
+    }
+
+    /// Returns the value at `idx` and rebuilds its key in `key`, reusing
+    /// the buffer's capacity (panics on out-of-bounds index).
+    pub fn entry_into(&self, idx: usize, key: &mut Vec<u8>) -> Result<&'a [u8]> {
+        assert!(idx < self.count, "leaf index out of bounds");
+        let mut value = None;
+        self.walk_block(idx / self.restart_interval, key, |i, _, v| {
             if i == idx {
-                out = Some((k.to_vec(), v));
+                value = Some(v);
                 false
             } else {
                 true
             }
         })?;
-        let (k, v) = out.ok_or_else(|| Error::corruption("prefix leaf entry missing"))?;
-        Ok((Cow::Owned(k), v))
+        value.ok_or_else(|| Error::corruption("prefix leaf entry missing"))
     }
 
     /// Key of the entry at `idx`.
@@ -355,7 +379,7 @@ impl<'a> PrefixLeafPage<'a> {
             return Ok((Err(0), cmps));
         };
         let mut result = Err((r * self.restart_interval + self.restart_interval).min(self.count));
-        self.walk_block(r, |i, k, _| {
+        self.walk_block(r, &mut Vec::new(), |i, k, _| {
             cmps += 1;
             match k.cmp(key) {
                 std::cmp::Ordering::Less => true,
@@ -427,6 +451,21 @@ impl<'a> LeafView<'a> {
                 Ok((Cow::Borrowed(k), v))
             }
             LeafView::Prefix(p) => p.entry(idx),
+        }
+    }
+
+    /// Returns the value at `idx` and writes its key into `key`, replacing
+    /// the buffer's contents but keeping its capacity — the
+    /// allocation-free twin of [`LeafView::entry`] for streaming scans.
+    pub fn entry_into(&self, idx: usize, key: &mut Vec<u8>) -> Result<&'a [u8]> {
+        match self {
+            LeafView::Plain(p) => {
+                let (k, v) = p.entry(idx)?;
+                key.clear();
+                key.extend_from_slice(k);
+                Ok(v)
+            }
+            LeafView::Prefix(p) => p.entry_into(idx, key),
         }
     }
 
@@ -578,6 +617,23 @@ impl AnyLeafBuilder {
         match self {
             AnyLeafBuilder::Plain(b) => b.first_key(),
             AnyLeafBuilder::Prefix(b) => b.first_key(),
+        }
+    }
+
+    /// Empties the builder for a leaf starting at `base_ordinal`, keeping
+    /// its buffers.
+    pub fn reset(&mut self, base_ordinal: u64) {
+        match self {
+            AnyLeafBuilder::Plain(b) => b.reset(base_ordinal),
+            AnyLeafBuilder::Prefix(b) => b.reset(base_ordinal),
+        }
+    }
+
+    /// Appends the serialized page to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        match self {
+            AnyLeafBuilder::Plain(b) => b.write_to(out),
+            AnyLeafBuilder::Prefix(b) => b.write_to(out),
         }
     }
 

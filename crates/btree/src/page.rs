@@ -25,8 +25,6 @@ pub struct LeafPageBuilder {
     base_ordinal: u64,
     slots: Vec<u32>,
     heap: Vec<u8>,
-    first_key: Option<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
 }
 
 /// Fixed header: base_ordinal (8) + count (2).
@@ -42,9 +40,22 @@ impl LeafPageBuilder {
             base_ordinal,
             slots: Vec::new(),
             heap: Vec::new(),
-            first_key: None,
-            last_key: None,
         }
+    }
+
+    /// Empties the builder for a leaf starting at `base_ordinal`, keeping
+    /// its buffers so the next page is built without allocating.
+    pub fn reset(&mut self, base_ordinal: u64) {
+        self.base_ordinal = base_ordinal;
+        self.slots.clear();
+        self.heap.clear();
+    }
+
+    /// Key of the entry whose heap record starts at `offset`.
+    fn key_at(&self, offset: u32) -> &[u8] {
+        // INVARIANT: every slot points at a record `add` wrote with
+        // `put_slice`, so it decodes.
+        get_slice(&self.heap[offset as usize..]).unwrap().0
     }
 
     /// Bytes the page would occupy if finished now.
@@ -74,7 +85,7 @@ impl LeafPageBuilder {
             return Err(Error::Storage("leaf page overflow".into()));
         }
         debug_assert!(
-            self.last_key.as_deref().is_none_or(|lk| lk < key),
+            self.slots.last().is_none_or(|&lk| self.key_at(lk) < key),
             "keys must be strictly ascending"
         );
         if self.heap.len() > u32::MAX as usize {
@@ -83,27 +94,29 @@ impl LeafPageBuilder {
         self.slots.push(self.heap.len() as u32);
         put_slice(&mut self.heap, key);
         put_slice(&mut self.heap, value);
-        if self.first_key.is_none() {
-            self.first_key = Some(key.to_vec());
-        }
-        self.last_key = Some(key.to_vec());
         Ok(())
     }
 
     /// First key in the page (None if empty).
     pub fn first_key(&self) -> Option<&[u8]> {
-        self.first_key.as_deref()
+        self.slots.first().map(|&off| self.key_at(off))
     }
 
-    /// Serializes the page.
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.current_size());
+    /// Appends the serialized page to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.reserve(self.current_size());
         out.extend_from_slice(&self.base_ordinal.to_le_bytes());
         out.extend_from_slice(&(self.slots.len() as u16).to_le_bytes());
         for s in &self.slots {
             out.extend_from_slice(&s.to_le_bytes());
         }
         out.extend_from_slice(&self.heap);
+    }
+
+    /// Serializes the page.
+    pub fn finish(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.current_size());
+        self.write_to(&mut out);
         out
     }
 }

@@ -268,6 +268,17 @@ impl BTreeScan {
     /// page instead of being copied out — the zero-copy scan path.
     #[allow(clippy::type_complexity)]
     pub fn next_entry_pinned(&mut self) -> Result<Option<(Vec<u8>, ValueBuf, u64)>> {
+        let mut key = Vec::new();
+        Ok(self
+            .next_entry_into(&mut key)?
+            .map(|(value, ord)| (key, value, ord)))
+    }
+
+    /// Like [`BTreeScan::next_entry_pinned`] but the key is written into
+    /// `key`, whose capacity is reused: a stream that hands the same buffer
+    /// back entry after entry allocates nothing per entry. At the end of
+    /// the range `key` holds unspecified bytes.
+    pub fn next_entry_into(&mut self, key: &mut Vec<u8>) -> Result<Option<(ValueBuf, u64)>> {
         loop {
             if self.done {
                 return Ok(None);
@@ -305,11 +316,11 @@ impl BTreeScan {
                 self.idx = 0;
                 continue;
             }
-            let (k, v) = leaf.entry(self.idx)?;
+            let v = leaf.entry_into(self.idx, key)?;
             let within = match &self.hi {
                 Bound::Unbounded => true,
-                Bound::Included(h) => k.as_ref() <= h.as_slice(),
-                Bound::Excluded(h) => k.as_ref() < h.as_slice(),
+                Bound::Included(h) => key.as_slice() <= h.as_slice(),
+                Bound::Excluded(h) => key.as_slice() < h.as_slice(),
             };
             if !within {
                 self.done = true;
@@ -322,7 +333,7 @@ impl BTreeScan {
                 .storage
                 .charge_cpu(self.tree.storage.cpu().key_cmp_ns);
             let value = ValueBuf::from(PageSlice::from_subslice(&data, v));
-            return Ok(Some((k.into_owned(), value, ordinal)));
+            return Ok(Some((value, ordinal)));
         }
     }
 }

@@ -22,6 +22,7 @@
 use crate::dataset::Dataset;
 use crate::keys::{encode_sk_pk, split_sk_pk};
 use lsm_common::{Key, Record, Result, Timestamp};
+use lsm_storage::Storage;
 use lsm_tree::{
     newest_disk_version_after, AtomicBitmap, ComponentBuilder, ComponentId, DiskComponent,
     LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions,
@@ -79,42 +80,82 @@ pub struct RepairReport {
     pub used_merge_scan: bool,
 }
 
-/// One candidate for validation: Figure 7's `(pkey, ts, position)`.
-#[derive(Debug, Clone)]
+/// One candidate for validation: Figure 7's `(pkey, ts, position)`, its
+/// pkey stored as a range of [`Candidates::pkeys`].
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
-    pkey: Key,
+    pkey: (usize, usize),
     ts: Timestamp,
     position: u64,
 }
 
-fn unpruned_pk_components(pk_tree: &LsmTree, prune_ts: Timestamp) -> Vec<Arc<DiskComponent>> {
-    pk_tree
-        .disk_components()
-        .into_iter()
-        .filter(|c| !c.id().at_or_before(prune_ts))
-        .collect()
+/// The candidates of one repair. Their pkeys sit back to back in one
+/// buffer, so collecting a candidate allocates nothing per entry.
+#[derive(Debug, Default)]
+struct Candidates {
+    pkeys: Vec<u8>,
+    list: Vec<Candidate>,
 }
 
-fn charge_sort(tree: &LsmTree, n: u64) {
-    if n > 1 {
-        let log_n = u64::from(64 - n.leading_zeros());
-        tree.storage()
-            .charge_cpu(n * log_n * tree.storage().cpu().sort_entry_ns);
+impl Candidates {
+    fn push(&mut self, pkey: &[u8], ts: Timestamp, position: u64) {
+        let start = self.pkeys.len();
+        self.pkeys.extend_from_slice(pkey);
+        self.list.push(Candidate {
+            pkey: (start, self.pkeys.len()),
+            ts,
+            position,
+        });
+    }
+
+    fn pkey(&self, c: &Candidate) -> &[u8] {
+        &self.pkeys[c.pkey.0..c.pkey.1]
+    }
+
+    fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    /// Sorts by pkey; candidates with equal pkeys keep their scan order.
+    fn sort(&mut self) {
+        let pkeys = &self.pkeys;
+        self.list
+            .sort_by(|a, b| pkeys[a.pkey.0..a.pkey.1].cmp(&pkeys[b.pkey.0..b.pkey.1]));
     }
 }
 
-/// Validates sorted candidates and sets bitmap bits for the invalid ones.
+/// The components of a captured pk-index list that `prune_ts` does not
+/// prune.
+fn unpruned(pk_components: &[Arc<DiskComponent>], prune_ts: Timestamp) -> Vec<Arc<DiskComponent>> {
+    pk_components
+        .iter()
+        .filter(|c| !c.id().at_or_before(prune_ts))
+        .cloned()
+        .collect()
+}
+
+fn charge_sort(storage: &Storage, n: u64) {
+    if n > 1 {
+        let log_n = u64::from(64 - n.leading_zeros());
+        storage.charge_cpu(n * log_n * storage.cpu().sort_entry_ns);
+    }
+}
+
+/// Sorts the candidates and validates them against `pk_components`, the
+/// pk-index disk list the repair captured, setting bitmap bits for the
+/// invalid ones. Components at or below `prune_ts` are skipped (except in
+/// the deleted-key B+-tree baseline, which validates against all of them).
 fn validate_candidates(
-    sec_tree: &LsmTree,
-    pk_tree: &LsmTree,
+    storage: &Arc<Storage>,
+    pk_components: &[Arc<DiskComponent>],
     prune_ts: Timestamp,
-    candidates: &mut [Candidate],
+    candidates: &mut Candidates,
     bitmap: &AtomicBitmap,
     opts: &RepairOptions,
     report: &mut RepairReport,
 ) -> Result<()> {
-    charge_sort(sec_tree, candidates.len() as u64);
-    candidates.sort_by(|a, b| a.pkey.cmp(&b.pkey));
+    charge_sort(storage, candidates.len() as u64);
+    candidates.sort();
     report.keys_validated += candidates.len() as u64;
 
     let effective_prune = match opts.mode {
@@ -122,7 +163,7 @@ fn validate_candidates(
         RepairMode::DeletedKeyBTree => 0, // no pruning for the baseline
     };
 
-    let unpruned = unpruned_pk_components(pk_tree, effective_prune);
+    let unpruned = unpruned(pk_components, effective_prune);
     let unpruned_entries: u64 = unpruned.iter().map(|c| c.num_entries()).sum();
 
     if opts.merge_scan_opt && candidates.len() as u64 > unpruned_entries {
@@ -130,7 +171,7 @@ fn validate_candidates(
         // unpruned pk-index components.
         report.used_merge_scan = true;
         let mut scan = LsmScan::new(
-            pk_tree.storage().clone(),
+            storage.clone(),
             None,
             &unpruned,
             Bound::Unbounded,
@@ -141,16 +182,14 @@ fn validate_candidates(
             },
         )?;
         let mut head = scan.next_entry()?;
-        for cand in candidates.iter() {
-            while let Some((k, _)) = &head {
-                if k.as_slice() < cand.pkey.as_slice() {
-                    head = scan.next_entry()?;
-                } else {
-                    break;
-                }
+        for cand in &candidates.list {
+            let pkey = candidates.pkey(cand);
+            while let Some((k, _)) = head.take_if(|(k, _)| k.as_slice() < pkey) {
+                scan.recycle(k);
+                head = scan.next_entry()?;
             }
             if let Some((k, e)) = &head {
-                if *k == cand.pkey && e.ts > cand.ts {
+                if k.as_slice() == pkey && e.ts > cand.ts {
                     bitmap.set(cand.position);
                     report.invalidated += 1;
                 }
@@ -159,8 +198,9 @@ fn validate_candidates(
         return Ok(());
     }
 
-    for cand in candidates.iter() {
-        if let Some(found) = newest_disk_version_after(pk_tree, &cand.pkey, effective_prune)? {
+    for cand in &candidates.list {
+        let pkey = candidates.pkey(cand);
+        if let Some(found) = newest_disk_version_after(storage, &unpruned, pkey, effective_prune)? {
             // Invalid iff the same key exists with a larger timestamp
             // (an update or a delete after this entry was written).
             if found.ts > cand.ts {
@@ -173,11 +213,14 @@ fn validate_candidates(
 }
 
 /// Computes the new repaired timestamp: the maximum timestamp of the
-/// unpruned primary-key-index components (Section 4.4), never less than the
-/// old watermark.
-fn new_repaired_ts(pk_tree: &LsmTree, prune_ts: Timestamp) -> Timestamp {
-    unpruned_pk_components(pk_tree, prune_ts)
+/// unpruned components of `pk_components` (Section 4.4), never less than
+/// the old watermark. `pk_components` must be the capture validation ran
+/// against: a pk component installed after it was never consulted, so the
+/// watermark must not cover it.
+fn new_repaired_ts(pk_components: &[Arc<DiskComponent>], prune_ts: Timestamp) -> Timestamp {
+    pk_components
         .iter()
+        .filter(|c| !c.id().at_or_before(prune_ts))
         .map(|c| c.id().max_ts)
         .max()
         .unwrap_or(0)
@@ -192,8 +235,23 @@ pub(crate) fn merge_repair(
     range: MergeRange,
     opts: &RepairOptions,
 ) -> Result<RepairReport> {
+    merge_repair_against(sec_tree, &pk_tree.disk_components(), range, opts)
+}
+
+/// [`merge_repair`] against `pk_components`, the pk-index disk list
+/// captured once when the repair starts. The Bloom pre-filter, validation
+/// and the new repaired timestamp all read this one capture, so the
+/// watermark never covers a pk component that validation did not consult
+/// (a flush may install one mid-repair).
+fn merge_repair_against(
+    sec_tree: &LsmTree,
+    pk_components: &[Arc<DiskComponent>],
+    range: MergeRange,
+    opts: &RepairOptions,
+) -> Result<RepairReport> {
     let inputs = sec_tree.components_in_range(range);
     assert!(!inputs.is_empty());
+    let storage = sec_tree.storage();
     let prune_ts = inputs.iter().map(|c| c.repaired_ts()).min().unwrap_or(0);
     let drop_anti = sec_tree.range_includes_oldest(range);
     // INVARIANT: `inputs` is non-empty (asserted above), so the merged id
@@ -203,7 +261,7 @@ pub(crate) fn merge_repair(
 
     let mut report = RepairReport::default();
     let mut builder = ComponentBuilder::new(
-        sec_tree.storage().clone(),
+        storage.clone(),
         id,
         lsm_tree::BuildOptions {
             with_bloom: sec_tree.options().with_bloom,
@@ -218,12 +276,12 @@ pub(crate) fn merge_repair(
     // Bloom optimization setup: keys absent from every unpruned pk-index
     // component cannot have been touched since the last repair.
     let bloom_opt = matches!(opts.mode, RepairMode::PrimaryKeyIndex { bloom_opt: true });
-    let unpruned = unpruned_pk_components(pk_tree, prune_ts);
+    let unpruned = unpruned(pk_components, prune_ts);
 
     // Scan all merging components (Figure 7 lines 1-7): valid entries go to
     // the new component; (pkey, ts, position) go to the sorter.
     let mut scan = LsmScan::new(
-        sec_tree.storage().clone(),
+        storage.clone(),
         None,
         &inputs,
         Bound::Unbounded,
@@ -233,48 +291,39 @@ pub(crate) fn merge_repair(
             respect_bitmaps: true,
         },
     )?;
-    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut candidates = Candidates::default();
     while let Some((key, entry)) = scan.next_entry()? {
-        if entry.anti_matter && drop_anti {
-            continue;
-        }
-        report.entries_scanned += 1;
-        let position = builder.add(&key, &entry)?;
-        if entry.anti_matter {
-            continue; // anti-matter needs no validation
-        }
-        if bloom_opt {
-            let pk_key = split_sk_pk(&key)?.1.to_vec();
-            // Per-entry pruning: a component whose maxTS is at or below the
-            // entry's own timestamp cannot contain a newer version.
-            let touched = unpruned
-                .iter()
-                .filter(|c| !c.id().at_or_before(entry.ts))
-                .any(|c| c.bloom_may_contain(sec_tree.storage(), &pk_key));
-            if !touched {
-                report.skipped_by_bloom += 1;
-                continue;
+        let skip = entry.anti_matter && drop_anti;
+        if !skip {
+            report.entries_scanned += 1;
+            let position = builder.add(&key, &entry)?;
+            // Anti-matter needs no validation.
+            if !entry.anti_matter {
+                let pk_key = split_sk_pk(&key)?.1;
+                // Per-entry pruning: a component whose maxTS is at or
+                // below the entry's own timestamp cannot contain a newer
+                // version.
+                let touched = !bloom_opt
+                    || unpruned
+                        .iter()
+                        .filter(|c| !c.id().at_or_before(entry.ts))
+                        .any(|c| c.bloom_may_contain(storage, pk_key));
+                if touched {
+                    candidates.push(pk_key, entry.ts, position);
+                } else {
+                    report.skipped_by_bloom += 1;
+                }
             }
-            candidates.push(Candidate {
-                pkey: pk_key,
-                ts: entry.ts,
-                position,
-            });
-        } else {
-            candidates.push(Candidate {
-                pkey: split_sk_pk(&key)?.1.to_vec(),
-                ts: entry.ts,
-                position,
-            });
         }
+        scan.recycle(key);
     }
 
     let n = builder.num_entries();
     let new_comp = Arc::new(builder.finish()?);
     let bitmap = Arc::new(AtomicBitmap::new(n));
     validate_candidates(
-        sec_tree,
-        pk_tree,
+        storage,
+        pk_components,
         prune_ts,
         &mut candidates,
         &bitmap,
@@ -284,7 +333,7 @@ pub(crate) fn merge_repair(
     if bitmap.count_set() > 0 {
         new_comp.set_bitmap(bitmap)?;
     }
-    new_comp.set_repaired_ts(new_repaired_ts(pk_tree, prune_ts));
+    new_comp.set_repaired_ts(new_repaired_ts(pk_components, prune_ts));
 
     if opts.mode == RepairMode::DeletedKeyBTree {
         write_deleted_key_btree(sec_tree, &new_comp)?;
@@ -295,25 +344,29 @@ pub(crate) fn merge_repair(
 }
 
 /// Standalone repair (Section 4.4): produces a fresh bitmap for every disk
-/// component of the secondary index without merging.
+/// component of the secondary index without merging. Each component's
+/// repair captures the pk-index disk list once, like a merge repair.
 pub(crate) fn standalone_repair(
     sec_tree: &LsmTree,
     pk_tree: &LsmTree,
     opts: &RepairOptions,
 ) -> Result<RepairReport> {
+    let storage = sec_tree.storage();
+    let bloom_opt = matches!(opts.mode, RepairMode::PrimaryKeyIndex { bloom_opt: true });
     let mut report = RepairReport::default();
+    let mut key = Vec::new();
     for comp in sec_tree.disk_components() {
         let prune_ts = comp.repaired_ts();
-        let bloom_opt = matches!(opts.mode, RepairMode::PrimaryKeyIndex { bloom_opt: true });
-        let unpruned = unpruned_pk_components(pk_tree, prune_ts);
+        let pk_components = pk_tree.disk_components();
+        let unpruned = unpruned(&pk_components, prune_ts);
         if unpruned.is_empty() && pk_tree.mem_len() == 0 {
             continue; // nothing new to validate against
         }
         let old_bitmap = comp.bitmap().map(|b| b.snapshot());
         let bitmap = Arc::new(AtomicBitmap::new(comp.num_entries()));
-        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut candidates = Candidates::default();
         let mut bscan = comp.btree().scan_all()?;
-        while let Some((key, raw, position)) = bscan.next_entry()? {
+        while let Some((raw, position)) = bscan.next_entry_into(&mut key)? {
             report.entries_scanned += 1;
             if let Some(old) = &old_bitmap {
                 if old.get(position) {
@@ -321,30 +374,26 @@ pub(crate) fn standalone_repair(
                     continue;
                 }
             }
-            let entry = LsmEntry::decode(&raw)?;
+            let entry = LsmEntry::decode_buf(raw)?;
             if entry.anti_matter {
                 continue;
             }
-            let pk_key = split_sk_pk(&key)?.1.to_vec();
+            let pk_key = split_sk_pk(&key)?.1;
             if bloom_opt {
                 let touched = unpruned
                     .iter()
                     .filter(|c| !c.id().at_or_before(entry.ts))
-                    .any(|c| c.bloom_may_contain(sec_tree.storage(), &pk_key));
+                    .any(|c| c.bloom_may_contain(storage, pk_key));
                 if !touched {
                     report.skipped_by_bloom += 1;
                     continue;
                 }
             }
-            candidates.push(Candidate {
-                pkey: pk_key,
-                ts: entry.ts,
-                position,
-            });
+            candidates.push(pk_key, entry.ts, position);
         }
         validate_candidates(
-            sec_tree,
-            pk_tree,
+            storage,
+            &pk_components,
             prune_ts,
             &mut candidates,
             &bitmap,
@@ -352,7 +401,7 @@ pub(crate) fn standalone_repair(
             &mut report,
         )?;
         comp.set_bitmap(bitmap)?;
-        comp.set_repaired_ts(new_repaired_ts(pk_tree, prune_ts));
+        comp.set_repaired_ts(new_repaired_ts(&pk_components, prune_ts));
     }
     Ok(report)
 }
@@ -367,7 +416,8 @@ fn write_deleted_key_btree(sec_tree: &LsmTree, comp: &DiskComponent) -> Result<(
     };
     let mut builder = lsm_btree::BTreeBuilder::new(sec_tree.storage().clone());
     let mut scan = comp.btree().scan_all()?;
-    while let Some((key, _, position)) = scan.next_entry()? {
+    let mut key = Vec::new();
+    while let Some((_, position)) = scan.next_entry_into(&mut key)? {
         if bitmap.get(position) {
             builder.add(&key, &[])?;
         }
@@ -625,6 +675,45 @@ mod tests {
         // 2 components; equality fails the strict >, so take whichever path
         // ran — the outcome must match the point-lookup path.
         assert_eq!(report.invalidated, 50);
+    }
+
+    /// A pk flush installed while a merge repair runs was never consulted
+    /// by its validation, so the repaired timestamp must stay below it:
+    /// later repairs and timestamp-validated queries must still see it.
+    #[test]
+    fn repaired_ts_never_covers_a_pk_component_installed_mid_repair() {
+        let ds = dataset(StrategyKind::Validation);
+        obsolete_setup(&ds);
+        let pk_tree = ds.pk_index().unwrap();
+        let captured = pk_tree.disk_components();
+        let consulted_max = captured.iter().map(|c| c.id().max_ts).max().unwrap();
+
+        // Mid-repair: 30 more records move, and their pk entries flush.
+        for i in 50..80 {
+            ds.upsert(&rec(i, "TX")).unwrap();
+        }
+        ds.flush_all().unwrap();
+        let installed = pk_tree.disk_components()[0].clone();
+        assert!(installed.id().min_ts > consulted_max);
+
+        let sec = &ds.secondaries()[0].tree;
+        let report = merge_repair_against(
+            sec,
+            &captured,
+            MergeRange { start: 0, end: 1 },
+            &RepairOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(report.invalidated, 50);
+        let merged = sec.disk_components()[1].clone();
+        assert_eq!(merged.repaired_ts(), consulted_max);
+        assert!(!installed.id().at_or_before(merged.repaired_ts()));
+
+        // The next repair still validates against the mid-repair flush and
+        // catches the 30 entries it made obsolete.
+        let reports = ds.maintenance().repair_all().unwrap();
+        assert_eq!(reports[0].invalidated, 30);
+        assert_eq!(live_secondary_entries(&ds), 100);
     }
 
     #[test]

@@ -80,8 +80,20 @@ impl LsmEntry {
 
     /// Serializes the entry.
     pub fn encode(&self) -> Bytes {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Bytes [`LsmEntry::encode`] produces.
+    pub fn encoded_len(&self) -> usize {
+        1 + if self.ts != NO_TIMESTAMP { 8 } else { 0 } + self.value.len()
+    }
+
+    /// Appends the serialized entry to `out` — the allocation-free form of
+    /// [`LsmEntry::encode`] for builders that reuse one scratch buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let has_ts = self.ts != NO_TIMESTAMP;
-        let mut out = Vec::with_capacity(1 + if has_ts { 8 } else { 0 } + self.value.len());
         let mut flags = 0u8;
         if self.anti_matter {
             flags |= FLAG_ANTI_MATTER;
@@ -94,7 +106,6 @@ impl LsmEntry {
             out.extend_from_slice(&self.ts.to_be_bytes());
         }
         out.extend_from_slice(&self.value);
-        out
     }
 
     /// Deserializes an entry produced by [`LsmEntry::encode`], copying the

@@ -93,16 +93,18 @@ pub fn newest_version_after(
     Ok(None)
 }
 
-/// Like [`newest_version_after`] but searching disk components only —
-/// index repair (Section 4.4) validates against flushed state and advances
-/// the repaired timestamp to the newest unpruned disk component.
+/// Like [`newest_version_after`] but searching only `components`, a
+/// captured disk-component list (newest first) — index repair (Section
+/// 4.4) validates against flushed state it captured once, and advances the
+/// repaired timestamp to the newest unpruned component of that same
+/// capture.
 pub fn newest_disk_version_after(
-    tree: &LsmTree,
+    storage: &lsm_storage::Storage,
+    components: &[Arc<DiskComponent>],
     key: &[u8],
     prune_ts: Timestamp,
 ) -> Result<Option<LsmEntry>> {
-    let storage = tree.storage();
-    for comp in tree.disk_components() {
+    for comp in components {
         if comp.id().at_or_before(prune_ts) {
             continue;
         }
@@ -274,7 +276,12 @@ fn lookup_batch(
     opts: &LookupOptions<'_>,
     found: &mut FoundEntries,
 ) -> Result<()> {
+    // Buffers reused across components: each component's pass refills
+    // them, so a batch allocates them once rather than once per component.
     let mut remaining: Vec<usize> = batch.to_vec();
+    let mut still_unresolved: Vec<usize> = Vec::with_capacity(remaining.len());
+    let mut candidates: Vec<&[u8]> = Vec::with_capacity(remaining.len());
+    let mut verdicts: Vec<bool> = Vec::with_capacity(remaining.len());
     for comp in components {
         if remaining.is_empty() {
             break;
@@ -284,19 +291,20 @@ fn lookup_batch(
         // resolve all block loads before the in-block probes (and the
         // B+-tree probe loop below stays branch-simple). Pruned keys are
         // never probed, so the bloom-check stats match the naive path.
-        let candidates: Vec<&[u8]> = remaining
-            .iter()
-            .filter(|&&i| {
-                opts.id_hints
-                    .is_none_or(|hints| comp.id().overlaps(&hints[i]))
-            })
-            .map(|&i| keys[i].as_slice())
-            .collect();
-        let mut verdicts: Vec<bool> = Vec::new();
+        candidates.clear();
+        candidates.extend(
+            remaining
+                .iter()
+                .filter(|&&i| {
+                    opts.id_hints
+                        .is_none_or(|hints| comp.id().overlaps(&hints[i]))
+                })
+                .map(|&i| keys[i].as_slice()),
+        );
         comp.bloom_may_contain_batch(storage, &candidates, &mut verdicts);
         let mut vi = 0usize;
         let mut cursor = opts.stateful.then(|| StatefulCursor::new(comp.btree()));
-        let mut still_unresolved: Vec<usize> = Vec::with_capacity(remaining.len());
+        still_unresolved.clear();
         for &i in &remaining {
             let key = &keys[i];
             if let Some(hints) = opts.id_hints {
@@ -326,7 +334,7 @@ fn lookup_batch(
                 None => still_unresolved.push(i),
             }
         }
-        remaining = still_unresolved;
+        std::mem::swap(&mut remaining, &mut still_unresolved);
     }
     Ok(())
 }

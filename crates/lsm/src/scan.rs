@@ -52,43 +52,65 @@ enum Source {
 }
 
 impl Source {
-    fn next(&mut self, respect_bitmaps: bool) -> Result<Option<(Key, LsmEntry, u64)>> {
+    /// The source's next valid entry. Disk keys are written into a buffer
+    /// taken from `spare` (the scan's pool of recycled keys), so a stream
+    /// whose consumer recycles every key allocates no key per entry.
+    fn next(
+        &mut self,
+        respect_bitmaps: bool,
+        spare: &mut Vec<Key>,
+    ) -> Result<Option<(Key, LsmEntry, u64)>> {
         match self {
             Source::Mem { entries } => Ok(entries.next().map(|(k, e)| (k, e, 0))),
-            Source::Disk { scan, bitmap, .. } => loop {
-                let Some((k, raw, ordinal)) = scan.next_entry_pinned()? else {
-                    return Ok(None);
-                };
-                if respect_bitmaps {
-                    if let Some(bm) = bitmap {
-                        if bm.get(ordinal) {
-                            continue; // invalidated entry
-                        }
+            Source::Disk { scan, bitmap } => {
+                let mut key = spare.pop().unwrap_or_default();
+                loop {
+                    let Some((raw, ordinal)) = scan.next_entry_into(&mut key)? else {
+                        spare.push(key);
+                        return Ok(None);
+                    };
+                    if respect_bitmaps && bitmap.as_ref().is_some_and(|bm| bm.get(ordinal)) {
+                        continue; // invalidated entry
                     }
+                    return Ok(Some((key, LsmEntry::decode_buf(raw)?, ordinal)));
                 }
-                return Ok(Some((k, LsmEntry::decode_buf(raw)?, ordinal)));
-            },
+            }
         }
     }
 }
 
-/// Head entry of one source, tagged with the source's recency rank
-/// (0 = newest).
+/// Head entry of one source. A source's index in `LsmScan::sources` is its
+/// recency rank (0 = newest).
 struct Head {
     key: Key,
     entry: LsmEntry,
     ordinal: u64,
-    rank: usize,
+}
+
+impl Head {
+    fn from_next((key, entry, ordinal): (Key, LsmEntry, u64)) -> Self {
+        Head {
+            key,
+            entry,
+            ordinal,
+        }
+    }
 }
 
 /// Reconciling k-way merge scan.
+///
+/// Keys handed out by [`LsmScan::next_entry`] and
+/// [`LsmScan::next_reconciled`] may be given back with
+/// [`LsmScan::recycle`]; disk sources refill recycled buffers, so a merge
+/// that recycles every key streams with no per-entry key allocation.
 pub struct LsmScan {
     storage: Arc<Storage>,
     sources: Vec<Source>,
     heads: Vec<Option<Head>>,
+    /// Recycled key buffers, at most one per source.
+    spare: Vec<Key>,
     opts: ScanOptions,
     started: bool,
-    num_sources: usize,
 }
 
 impl LsmScan {
@@ -118,15 +140,7 @@ impl LsmScan {
             };
             sources.push(Source::Disk { scan, bitmap });
         }
-        let n = sources.len();
-        Ok(LsmScan {
-            storage,
-            sources,
-            heads: Vec::new(),
-            opts,
-            started: false,
-            num_sources: n,
-        })
+        Ok(Self::over(storage, sources, opts))
     }
 
     /// Creates a scan with explicit bitmap snapshots per component (the
@@ -144,30 +158,42 @@ impl LsmScan {
                 bitmap: snap.clone(),
             });
         }
-        let n = sources.len();
-        Ok(LsmScan {
+        Ok(Self::over(storage, sources, opts))
+    }
+
+    fn over(storage: Arc<Storage>, sources: Vec<Source>, opts: ScanOptions) -> Self {
+        LsmScan {
             storage,
+            heads: Vec::with_capacity(sources.len()),
+            spare: Vec::with_capacity(sources.len()),
             sources,
-            heads: Vec::new(),
             opts,
             started: false,
-            num_sources: n,
-        })
+        }
     }
 
     fn prime(&mut self) -> Result<()> {
-        self.heads = Vec::with_capacity(self.sources.len());
-        for i in 0..self.sources.len() {
-            let h = self.sources[i].next(self.opts.respect_bitmaps)?;
-            self.heads.push(h.map(|(key, entry, ordinal)| Head {
-                key,
-                entry,
-                ordinal,
-                rank: i,
-            }));
+        for source in &mut self.sources {
+            let next = source.next(self.opts.respect_bitmaps, &mut self.spare)?;
+            self.heads.push(next.map(Head::from_next));
         }
         self.started = true;
         Ok(())
+    }
+
+    /// Moves source `i` to its next entry.
+    fn advance(&mut self, i: usize) -> Result<()> {
+        let next = self.sources[i].next(self.opts.respect_bitmaps, &mut self.spare)?;
+        self.heads[i] = next.map(Head::from_next);
+        Ok(())
+    }
+
+    /// Hands a key this scan returned back for reuse. Optional: a key that
+    /// is kept or dropped instead costs one allocation later.
+    pub fn recycle(&mut self, key: Key) {
+        if self.spare.len() < self.sources.len() {
+            self.spare.push(key);
+        }
     }
 
     /// Returns the next reconciled entry: `(key, entry)` where `entry` is
@@ -179,6 +205,7 @@ impl LsmScan {
                 return Ok(None);
             };
             if entry.anti_matter && !self.opts.emit_anti_matter {
+                self.recycle(key);
                 continue;
             }
             return Ok(Some((key, entry)));
@@ -192,49 +219,39 @@ impl LsmScan {
         if !self.started {
             self.prime()?;
         }
-        // Find the smallest key; among ties the smallest rank (newest) wins.
-        let mut winner: Option<usize> = None;
+        // Find the smallest key; among ties the first (newest) source wins,
+        // so every other source sitting on that key comes after the winner.
+        let mut winner: Option<(usize, &Key)> = None;
         for (i, head) in self.heads.iter().enumerate() {
-            let Some(h) = head else { continue };
-            match winner {
-                None => winner = Some(i),
-                Some(w) => {
-                    // INVARIANT: `w` was only ever set for a `Some` head and
-                    // no head is advanced during this scan.
-                    let wh = self.heads[w].as_ref().unwrap();
-                    if h.key < wh.key || (h.key == wh.key && h.rank < wh.rank) {
-                        winner = Some(i);
-                    }
+            if let Some(h) = head {
+                if winner.is_none_or(|(_, k)| h.key < *k) {
+                    winner = Some((i, &h.key));
                 }
             }
         }
-        let Some(w) = winner else { return Ok(None) };
-        // INVARIANT: the winner index always points at a `Some` head.
-        let win_key = self.heads[w].as_ref().unwrap().key.clone();
+        let Some((w, _)) = winner else {
+            return Ok(None);
+        };
 
         // Charge the reconciliation cost: one heap round over the sources.
-        let log_k = (usize::BITS - self.num_sources.leading_zeros()) as u64;
+        let log_k = (usize::BITS - self.sources.len().leading_zeros()) as u64;
         self.storage
             .charge_cpu(self.storage.cpu().key_cmp_ns * log_k.max(1));
 
-        // Advance every source sitting on the winning key; keep the winner.
-        let mut result: Option<(Key, LsmEntry, usize, u64)> = None;
-        for i in 0..self.heads.len() {
-            let Some(head) = self.heads[i].take_if(|h| h.key == win_key) else {
-                continue;
-            };
-            if i == w {
-                result = Some((head.key, head.entry, head.rank, head.ordinal));
+        // Take the winner, then advance every source sitting on its key in
+        // source order. The order is part of the simulated-time contract:
+        // an advance may issue a read-ahead burst, which moves the device
+        // head.
+        // INVARIANT: the winner index always points at a `Some` head.
+        let won = self.heads[w].take().unwrap();
+        self.advance(w)?;
+        for i in w + 1..self.heads.len() {
+            if let Some(tied) = self.heads[i].take_if(|h| h.key == won.key) {
+                self.recycle(tied.key);
+                self.advance(i)?;
             }
-            let next = self.sources[i].next(self.opts.respect_bitmaps)?;
-            self.heads[i] = next.map(|(key, entry, ordinal)| Head {
-                key,
-                entry,
-                ordinal,
-                rank: i,
-            });
         }
-        Ok(result)
+        Ok(Some((won.key, won.entry, w, won.ordinal)))
     }
 }
 

@@ -91,6 +91,8 @@ pub struct ComponentBuilder {
     bloom: Option<Box<dyn BloomFilter>>,
     filter: Option<RangeFilter>,
     make_mutable_bitmap: bool,
+    /// Encoded-entry buffer reused by every [`ComponentBuilder::add`].
+    scratch: Vec<u8>,
 }
 
 /// Options for [`ComponentBuilder`].
@@ -136,6 +138,7 @@ impl ComponentBuilder {
             bloom,
             filter: opts.filter,
             make_mutable_bitmap: opts.make_mutable_bitmap,
+            scratch: Vec::new(),
         })
     }
 
@@ -143,7 +146,9 @@ impl ComponentBuilder {
     /// position in the new component.
     pub fn add(&mut self, key: &[u8], entry: &LsmEntry) -> Result<u64> {
         let ordinal = self.btree.next_ordinal();
-        self.btree.add(key, &entry.encode())?;
+        self.scratch.clear();
+        entry.encode_into(&mut self.scratch);
+        self.btree.add(key, &self.scratch)?;
         if let Some(bloom) = &mut self.bloom {
             bloom.insert(key);
         }
@@ -594,13 +599,8 @@ impl LsmTree {
             },
         )?;
         while let Some((k, e)) = scan.next_entry()? {
-            builder.add(
-                &k,
-                &LsmEntry {
-                    value: lsm_storage::ValueBuf::empty(),
-                    ..e
-                },
-            )?;
+            builder.add(&k, &e.key_only())?;
+            scan.recycle(k);
         }
         Ok(Arc::new(builder.finish()?))
     }
@@ -856,10 +856,10 @@ impl LsmTree {
             },
         )?;
         while let Some((k, e)) = scan.next_entry()? {
-            if e.anti_matter && drop_anti {
-                continue;
+            if !(e.anti_matter && drop_anti) {
+                builder.add(&k, &e)?;
             }
-            builder.add(&k, &e)?;
+            scan.recycle(k);
         }
         let new_comp = Arc::new(builder.finish()?);
         self.replace_range(range, new_comp.clone(), true)?;

@@ -116,3 +116,31 @@ proptest! {
         prop_assert!(tree.num_disk_components() <= 1);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // `encode_into` appends exactly the bytes `encode` returns, after
+    // whatever the buffer already holds, and `encoded_len` predicts them.
+    #[test]
+    fn encode_into_appends_exactly_encode(
+        anti_matter in any::<bool>(),
+        has_ts in any::<bool>(),
+        ts in any::<u64>(),
+        value in proptest::collection::vec(any::<u8>(), 0..64),
+        prefix in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let entry = LsmEntry {
+            anti_matter,
+            ts: if has_ts { ts.max(1) } else { 0 },
+            value: value.into(),
+        };
+        let encoded = entry.encode();
+        prop_assert_eq!(encoded.len(), entry.encoded_len());
+        let mut out = prefix.clone();
+        entry.encode_into(&mut out);
+        prop_assert_eq!(&out[..prefix.len()], prefix.as_slice());
+        prop_assert_eq!(&out[prefix.len()..], encoded.as_slice());
+        prop_assert_eq!(LsmEntry::decode(&encoded).unwrap(), entry);
+    }
+}

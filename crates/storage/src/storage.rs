@@ -265,8 +265,13 @@ impl Storage {
 
     /// Consults the fault plan for an operation of class `op`. Error-like
     /// actions return `Err`; write-mutating actions are returned for
-    /// `append_page` to apply.
-    fn fault_check(&self, op: FaultOp, what: &str) -> Result<Option<FaultAction>> {
+    /// `append_page` to apply. `what` names the operation in the error and
+    /// runs only when a fault fires, so the common path formats nothing.
+    fn fault_check(
+        &self,
+        op: FaultOp,
+        what: impl FnOnce() -> String,
+    ) -> Result<Option<FaultAction>> {
         let Some(plan) = self.fault_plan() else {
             return Ok(None);
         };
@@ -283,11 +288,14 @@ impl Storage {
                 Ok(Some(action))
             }
             FaultAction::TransientError | FaultAction::PermanentError | FaultAction::Crash => {
-                Err(FaultPlan::action_error(action, what))
+                Err(FaultPlan::action_error(action, &what()))
             }
             // A torn/short write scripted on a non-append op degrades to a
             // permanent error: there is no page to tear.
-            _ => Err(FaultPlan::action_error(FaultAction::PermanentError, what)),
+            _ => Err(FaultPlan::action_error(
+                FaultAction::PermanentError,
+                &what(),
+            )),
         }
     }
 
@@ -359,7 +367,7 @@ impl Storage {
                 self.opts.page_size
             )));
         }
-        let injected = self.fault_check(FaultOp::Append, &format!("append to {file:?}"))?;
+        let injected = self.fault_check(FaultOp::Append, || format!("append to {file:?}"))?;
         // Rate-limit first: threads that installed a write IoThrottle
         // (background flush builds and merge outputs) pay for the page
         // before it reaches the device, so foreground writers see the
@@ -372,6 +380,25 @@ impl Storage {
                 .write_throttle_wait_ns
                 .fetch_add(waited, std::sync::atomic::Ordering::Relaxed);
         }
+        // The page is built before the file-table lock is taken, so readers
+        // on other threads never wait behind the allocation and copy. An
+        // injected torn write keeps the page length but zeroes the tail
+        // (bytes that never reached the platter); a short write truncates
+        // the page outright. Both look like a success to the writer — the
+        // damage is only discovered after the crash.
+        let (page, torn): (Arc<[u8]>, bool) = match injected {
+            Some(FaultAction::TornWrite { keep_bytes }) => {
+                let mut page = Arc::<[u8]>::from(data);
+                let keep = keep_bytes.min(page.len());
+                // INVARIANT: the Arc was created just above and is unshared.
+                Arc::get_mut(&mut page).unwrap()[keep..].fill(0);
+                (page, true)
+            }
+            Some(FaultAction::ShortWrite { keep_bytes }) => {
+                (Arc::from(&data[..keep_bytes.min(data.len())]), true)
+            }
+            _ => (Arc::from(data), false),
+        };
         let page_no = {
             let mut files = self.files.write();
             let state = files
@@ -380,31 +407,14 @@ impl Storage {
             if state.deleted {
                 return Err(Error::Storage(format!("file {file:?} is deleted")));
             }
-            // An injected torn write keeps the page length but zeroes the
-            // tail (bytes that never reached the platter); a short write
-            // truncates the page outright. Both look like a success to the
-            // writer — the damage is only discovered after the crash.
-            match injected {
-                Some(FaultAction::TornWrite { keep_bytes }) => {
-                    let mut page = data.to_vec();
-                    let keep = keep_bytes.min(page.len());
-                    page[keep..].fill(0);
-                    state.pages.push(Arc::from(page.as_slice()));
-                    self.stats
-                        .torn_writes
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                Some(FaultAction::ShortWrite { keep_bytes }) => {
-                    let keep = keep_bytes.min(data.len());
-                    state.pages.push(Arc::from(&data[..keep]));
-                    self.stats
-                        .torn_writes
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                _ => state.pages.push(Arc::from(data)),
-            }
+            state.pages.push(page);
             (state.pages.len() - 1) as PageNo
         };
+        if torn {
+            self.stats
+                .torn_writes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
         let mut seek = 0;
         {
             let mut lw = self.last_write.lock();
@@ -439,7 +449,7 @@ impl Storage {
     /// Reads one page, going through the buffer cache and charging the
     /// device model on a miss.
     pub fn read_page(&self, file: FileId, page: PageNo) -> Result<Arc<[u8]>> {
-        self.fault_check(FaultOp::Read, &format!("read of {file:?}/{page}"))?;
+        self.fault_check(FaultOp::Read, || format!("read of {file:?}/{page}"))?;
         let data = {
             let files = self.files.read();
             let state = files
@@ -521,10 +531,9 @@ impl Storage {
         if count == 0 {
             return Ok(Vec::new());
         }
-        self.fault_check(
-            FaultOp::Read,
-            &format!("read burst of {file:?}/{page}+{count}"),
-        )?;
+        self.fault_check(FaultOp::Read, || {
+            format!("read burst of {file:?}/{page}+{count}")
+        })?;
         let pages = self.page_data_batch(file, page, count)?;
         // Admit all pages; charge only those not already resident. Each
         // page locks only its own cache shard, so a burst never holds the
@@ -616,7 +625,7 @@ impl Storage {
 
     /// Deletes a file, dropping its pages and evicting its cached entries.
     pub fn delete_file(&self, file: FileId) -> Result<()> {
-        self.fault_check(FaultOp::Delete, &format!("delete of {file:?}"))?;
+        self.fault_check(FaultOp::Delete, || format!("delete of {file:?}"))?;
         {
             let mut files = self.files.write();
             let state = files
