@@ -250,50 +250,71 @@ impl<'a> PrefixLeafPage<'a> {
         Ok(get_slice(rest)?.0)
     }
 
+    /// Decodes entry `idx`, which starts at heap offset `pos`. A restart
+    /// entry overwrites `key` with its full key; any other entry rebuilds
+    /// its key in place from `key`, which must hold entry `idx - 1`'s key.
+    /// Returns the value and the heap offset of entry `idx + 1`.
+    fn decode_at(&self, idx: usize, pos: usize, key: &mut Vec<u8>) -> Result<(&'a [u8], usize)> {
+        let rest = self
+            .heap()
+            .get(pos..)
+            .ok_or_else(|| Error::corruption("prefix leaf entry out of bounds"))?;
+        if idx.is_multiple_of(self.restart_interval) {
+            let (k, n) = get_slice(rest)?;
+            key.clear();
+            key.extend_from_slice(k);
+            let (v, m) = get_slice(&rest[n..])?;
+            return Ok((v, pos + n + m));
+        }
+        let (shared, a) = get_varint(rest)?;
+        let (suffix_len, b) = get_varint(&rest[a..])?;
+        let (shared, suffix_len) = (shared as usize, suffix_len as usize);
+        if shared > key.len() || rest.len() < a + b + suffix_len {
+            return Err(Error::corruption("prefix leaf delta out of bounds"));
+        }
+        key.truncate(shared);
+        key.extend_from_slice(&rest[a + b..a + b + suffix_len]);
+        let (v, m) = get_slice(&rest[a + b + suffix_len..])?;
+        Ok((v, pos + a + b + suffix_len + m))
+    }
+
     /// Decodes entries of restart block `r` from its start, calling `visit`
-    /// with `(index, key, value)` until it returns `false` or the block
-    /// ends. Keys are rebuilt in place in `key`, which holds the last
-    /// visited key afterwards.
+    /// with `(index, key, value, next offset)` until it returns `false` or
+    /// the block ends. Keys are rebuilt in place in `key`, which holds the
+    /// last visited key afterwards.
     fn walk_block(
         &self,
         r: usize,
         key: &mut Vec<u8>,
-        mut visit: impl FnMut(usize, &[u8], &'a [u8]) -> bool,
+        mut visit: impl FnMut(usize, &[u8], &'a [u8], usize) -> bool,
     ) -> Result<()> {
-        let heap = self.heap();
         let mut pos = self.restart_offset(r);
         let start = r * self.restart_interval;
         let end = (start + self.restart_interval).min(self.count);
         for i in start..end {
-            let rest = heap
-                .get(pos..)
-                .ok_or_else(|| Error::corruption("prefix leaf entry out of bounds"))?;
-            let value: &'a [u8];
-            if i == start {
-                let (k, n) = get_slice(rest)?;
-                key.clear();
-                key.extend_from_slice(k);
-                let (v, m) = get_slice(&rest[n..])?;
-                value = v;
-                pos += n + m;
-            } else {
-                let (shared, a) = get_varint(rest)?;
-                let (suffix_len, b) = get_varint(&rest[a..])?;
-                let (shared, suffix_len) = (shared as usize, suffix_len as usize);
-                if shared > key.len() || rest.len() < a + b + suffix_len {
-                    return Err(Error::corruption("prefix leaf delta out of bounds"));
-                }
-                key.truncate(shared);
-                key.extend_from_slice(&rest[a + b..a + b + suffix_len]);
-                let (v, m) = get_slice(&rest[a + b + suffix_len..])?;
-                value = v;
-                pos += a + b + suffix_len + m;
-            }
-            if !visit(i, key, value) {
+            let (value, next) = self.decode_at(i, pos, key)?;
+            pos = next;
+            if !visit(i, key, value, next) {
                 return Ok(());
             }
         }
         Ok(())
+    }
+
+    /// Decodes entry `idx` from its restart point, leaving its key in
+    /// `key`. Returns the value and the heap offset of entry `idx + 1`.
+    fn seek_entry(&self, idx: usize, key: &mut Vec<u8>) -> Result<(&'a [u8], usize)> {
+        assert!(idx < self.count, "leaf index out of bounds");
+        let mut found = None;
+        self.walk_block(idx / self.restart_interval, key, |i, _, v, next| {
+            if i == idx {
+                found = Some((v, next));
+                false
+            } else {
+                true
+            }
+        })?;
+        found.ok_or_else(|| Error::corruption("prefix leaf entry missing"))
     }
 
     /// Returns the entry at `idx` (panics on out-of-bounds index). The key
@@ -319,17 +340,25 @@ impl<'a> PrefixLeafPage<'a> {
     /// Returns the value at `idx` and rebuilds its key in `key`, reusing
     /// the buffer's capacity (panics on out-of-bounds index).
     pub fn entry_into(&self, idx: usize, key: &mut Vec<u8>) -> Result<&'a [u8]> {
+        Ok(self.seek_entry(idx, key)?.0)
+    }
+
+    /// The value at `idx`, its key left in `seq`'s key buffer; continues
+    /// from `seq`'s position when it stopped right before `idx` on this
+    /// page, and seeks from the restart point otherwise.
+    fn entry_seq(&self, idx: usize, seq: &mut SeqDecode) -> Result<&'a [u8]> {
         assert!(idx < self.count, "leaf index out of bounds");
-        let mut value = None;
-        self.walk_block(idx / self.restart_interval, key, |i, _, v| {
-            if i == idx {
-                value = Some(v);
-                false
-            } else {
-                true
+        let (value, next) = match seq.next {
+            Some((i, pos)) if usize::from(i) == idx => {
+                self.decode_at(idx, pos as usize, &mut seq.key)?
             }
-        })?;
-        value.ok_or_else(|| Error::corruption("prefix leaf entry missing"))
+            _ => self.seek_entry(idx, &mut seq.key)?,
+        };
+        // A page holds at most `u16::MAX` entries and `u32::MAX` heap
+        // bytes (its header and restart slots say so); past either, the
+        // next call just seeks from the restart point.
+        seq.next = u16::try_from(idx + 1).ok().zip(u32::try_from(next).ok());
+        Ok(value)
     }
 
     /// Key of the entry at `idx`.
@@ -379,7 +408,7 @@ impl<'a> PrefixLeafPage<'a> {
             return Ok((Err(0), cmps));
         };
         let mut result = Err((r * self.restart_interval + self.restart_interval).min(self.count));
-        self.walk_block(r, &mut Vec::new(), |i, k, _| {
+        self.walk_block(r, &mut Vec::new(), |i, k, _, _| {
             cmps += 1;
             match k.cmp(key) {
                 std::cmp::Ordering::Less => true,
@@ -394,6 +423,22 @@ impl<'a> PrefixLeafPage<'a> {
             }
         })?;
         Ok((result, cmps))
+    }
+}
+
+/// Decode state of an in-order pass over one leaf page, for
+/// [`LeafView::entry_seq`]: the next entry's index and heap offset, and
+/// the previous key a prefix entry delta-decodes against.
+#[derive(Debug, Default)]
+pub(crate) struct SeqDecode {
+    next: Option<(u16, u32)>,
+    key: Vec<u8>,
+}
+
+impl SeqDecode {
+    /// Forgets the position; call it before reading another page.
+    pub(crate) fn reset(&mut self) {
+        self.next = None;
     }
 }
 
@@ -454,6 +499,15 @@ impl<'a> LeafView<'a> {
         }
     }
 
+    /// Returns the value at `idx` without copying its key: plain pages
+    /// borrow it, prefix pages rebuild it in `scratch` on the way.
+    pub fn value(&self, idx: usize, scratch: &mut Vec<u8>) -> Result<&'a [u8]> {
+        match self {
+            LeafView::Plain(p) => Ok(p.entry(idx)?.1),
+            LeafView::Prefix(p) => p.entry_into(idx, scratch),
+        }
+    }
+
     /// Returns the value at `idx` and writes its key into `key`, replacing
     /// the buffer's contents but keeping its capacity — the
     /// allocation-free twin of [`LeafView::entry`] for streaming scans.
@@ -466,6 +520,28 @@ impl<'a> LeafView<'a> {
                 Ok(v)
             }
             LeafView::Prefix(p) => p.entry_into(idx, key),
+        }
+    }
+
+    /// Like [`LeafView::entry_into`], for a pass reading one page's
+    /// entries in order: `seq` keeps the decode position and previous key
+    /// between calls, so a prefix page decodes each entry once instead of
+    /// re-walking its restart block per entry. Reset `seq` before moving
+    /// to another page.
+    pub(crate) fn entry_seq(
+        &self,
+        idx: usize,
+        seq: &mut SeqDecode,
+        key: &mut Vec<u8>,
+    ) -> Result<&'a [u8]> {
+        match self {
+            LeafView::Plain(_) => self.entry_into(idx, key),
+            LeafView::Prefix(p) => {
+                let value = p.entry_seq(idx, seq)?;
+                key.clear();
+                key.extend_from_slice(&seq.key);
+                Ok(value)
+            }
         }
     }
 
@@ -497,27 +573,33 @@ impl<'a> LeafView<'a> {
 
     /// Exponential (galloping) search from `from` — see
     /// [`LeafPage::exponential_search`]. Both encodings run the identical
-    /// gallop over the decoded keys, so results agree exactly.
+    /// gallop over the decoded keys, so results agree exactly. Prefix-page
+    /// keys are rebuilt in `scratch`, whose capacity is reused: with a warm
+    /// buffer the search allocates nothing on either encoding.
     pub fn exponential_search(
         &self,
         key: &[u8],
         from: usize,
+        scratch: &mut Vec<u8>,
     ) -> Result<(std::result::Result<usize, usize>, u32)> {
         match self {
             LeafView::Plain(p) => p.exponential_search(key, from),
-            LeafView::Prefix(p) => gallop(key, from, p.count(), |i| p.key(i)),
+            LeafView::Prefix(p) => gallop(from, p.count(), |i| {
+                p.entry_into(i, scratch)?;
+                Ok(scratch.as_slice().cmp(key))
+            }),
         }
     }
 }
 
 /// The gallop-then-binary-search of prefix pages: identical probe
-/// sequence to [`LeafPage::exponential_search`], expressed over a key
-/// accessor so both encodings agree exactly.
-fn gallop<'a>(
-    key: &[u8],
+/// sequence to [`LeafPage::exponential_search`], expressed over `cmp_at`,
+/// which orders entry `i`'s key against the probe key, so both encodings
+/// agree exactly.
+fn gallop(
     from: usize,
     n: usize,
-    key_at: impl Fn(usize) -> Result<Cow<'a, [u8]>>,
+    mut cmp_at: impl FnMut(usize) -> Result<std::cmp::Ordering>,
 ) -> Result<(std::result::Result<usize, usize>, u32)> {
     let mut cmps = 0u32;
     if from >= n {
@@ -528,7 +610,7 @@ fn gallop<'a>(
     let mut bound = from;
     loop {
         cmps += 1;
-        match key_at(bound)?.as_ref().cmp(key) {
+        match cmp_at(bound)? {
             std::cmp::Ordering::Less => {
                 prev = bound + 1;
                 if bound == n - 1 {
@@ -546,7 +628,7 @@ fn gallop<'a>(
     while lo < hi {
         let mid = (lo + hi) / 2;
         cmps += 1;
-        match key_at(mid)?.as_ref().cmp(key) {
+        match cmp_at(mid)? {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
             std::cmp::Ordering::Equal => return Ok((Ok(mid), cmps)),
@@ -822,8 +904,12 @@ mod tests {
         );
         for probe in (0..102u32).map(|i| format!("u{i:03}")) {
             for from in 0..=50 {
-                let got = pv.exponential_search(probe.as_bytes(), from).unwrap();
-                let want = lv.exponential_search(probe.as_bytes(), from).unwrap();
+                let got = pv
+                    .exponential_search(probe.as_bytes(), from, &mut Vec::new())
+                    .unwrap();
+                let want = lv
+                    .exponential_search(probe.as_bytes(), from, &mut Vec::new())
+                    .unwrap();
                 assert_eq!(got, want, "probe {probe} from {from}");
             }
         }

@@ -6,7 +6,7 @@
 //! cursors, and range/full scans that read leaves sequentially.
 
 use crate::encoding::get_slice;
-use crate::leaf::LeafView;
+use crate::leaf::{LeafView, SeqDecode};
 use crate::page::InternalPage;
 use lsm_common::{Error, Result};
 use lsm_storage::{FileId, PageNo, PageSlice, Storage, ValueBuf};
@@ -217,7 +217,9 @@ impl BTree {
             },
         };
         Ok(BTreeScan {
-            tree: self.clone(),
+            storage: self.storage.clone(),
+            file: self.file,
+            num_leaves: self.meta.num_leaves,
             leaf_no: start_leaf,
             idx: start_idx,
             hi,
@@ -225,6 +227,7 @@ impl BTree {
             next_readahead: start_leaf,
             buffer_start: 0,
             buffer: Vec::new(),
+            seq: SeqDecode::default(),
         })
     }
 
@@ -240,9 +243,12 @@ impl BTree {
 }
 
 /// Streaming scan over a key range. Leaves are contiguous pages, so the
-/// underlying reads are sequential.
+/// underlying reads are sequential. The scan holds only the device, file
+/// and leaf count of its tree, so opening one copies no tree metadata.
 pub struct BTreeScan {
-    tree: BTree,
+    storage: Arc<Storage>,
+    file: FileId,
+    num_leaves: u32,
     leaf_no: PageNo,
     idx: usize,
     hi: Bound<Vec<u8>>,
@@ -253,6 +259,9 @@ pub struct BTreeScan {
     /// (k-way merges over many components) do not thrash the shared cache.
     buffer_start: PageNo,
     buffer: Vec<Arc<[u8]>>,
+    /// Decode position within the current leaf, so each entry of a
+    /// prefix-compressed leaf is decoded once.
+    seq: SeqDecode,
 }
 
 impl BTreeScan {
@@ -283,7 +292,7 @@ impl BTreeScan {
             if self.done {
                 return Ok(None);
             }
-            if self.leaf_no >= self.tree.meta.num_leaves {
+            if self.leaf_no >= self.num_leaves {
                 self.done = true;
                 return Ok(None);
             }
@@ -292,14 +301,11 @@ impl BTreeScan {
             // the burst in a private buffer so interleaved scans don't
             // re-pay for pages evicted from the shared cache.
             if self.leaf_no >= self.next_readahead {
-                let ra = self.tree.storage.readahead_pages();
-                let count = ra.min(self.tree.meta.num_leaves - self.leaf_no);
+                let ra = self.storage.readahead_pages();
+                let count = ra.min(self.num_leaves - self.leaf_no);
                 // One batched call charges the burst AND returns the page
                 // handles — no per-page `page_data` re-locking.
-                self.buffer = self
-                    .tree
-                    .storage
-                    .read_pages(self.tree.file, self.leaf_no, count)?;
+                self.buffer = self.storage.read_pages(self.file, self.leaf_no, count)?;
                 self.buffer_start = self.leaf_no;
                 self.next_readahead = self.leaf_no + count;
             }
@@ -308,15 +314,16 @@ impl BTreeScan {
             {
                 self.buffer[(self.leaf_no - self.buffer_start) as usize].clone()
             } else {
-                self.tree.read_leaf(self.leaf_no)?
+                self.storage.read_page(self.file, self.leaf_no)?
             };
             let leaf = LeafView::parse(&data)?;
             if self.idx >= leaf.count() {
                 self.leaf_no += 1;
                 self.idx = 0;
+                self.seq.reset();
                 continue;
             }
-            let v = leaf.entry_into(self.idx, key)?;
+            let v = leaf.entry_seq(self.idx, &mut self.seq, key)?;
             let within = match &self.hi {
                 Bound::Unbounded => true,
                 Bound::Included(h) => key.as_slice() <= h.as_slice(),
@@ -329,9 +336,7 @@ impl BTreeScan {
             let ordinal = leaf.base_ordinal() + self.idx as u64;
             self.idx += 1;
             // Streaming cost: one comparison-equivalent per entry.
-            self.tree
-                .storage
-                .charge_cpu(self.tree.storage.cpu().key_cmp_ns);
+            self.storage.charge_cpu(self.storage.cpu().key_cmp_ns);
             let value = ValueBuf::from(PageSlice::from_subslice(&data, v));
             return Ok(Some((value, ordinal)));
         }

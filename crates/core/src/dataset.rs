@@ -193,6 +193,7 @@ impl Dataset {
                 bloom_fpr: cfg.bloom_fpr,
                 mutable_bitmaps: cfg.strategy == StrategyKind::MutableBitmap,
                 mem_shards: cfg.memtable_shards,
+                keep_anti_matter: false,
             },
         );
         let pk_index = cfg.with_pk_index.then(|| {
@@ -207,6 +208,12 @@ impl Dataset {
                     // bitmap; it does not create its own.
                     mutable_bitmaps: false,
                     mem_shards: cfg.memtable_shards,
+                    // Lazily maintained secondaries learn of a delete
+                    // only from this index's anti-matter.
+                    keep_anti_matter: matches!(
+                        cfg.strategy,
+                        StrategyKind::Validation | StrategyKind::DeletedKeyBTree
+                    ),
                 },
             )
         });
@@ -225,6 +232,7 @@ impl Dataset {
                         bloom_fpr: cfg.bloom_fpr,
                         mutable_bitmaps: false,
                         mem_shards: cfg.memtable_shards,
+                        keep_anti_matter: false,
                     },
                 ),
             })

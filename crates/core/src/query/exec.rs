@@ -7,9 +7,7 @@ use crate::dataset::{Dataset, SecondaryIndex};
 use crate::keys::{bound_as_ref, sk_range};
 use crate::query::{QueryOptions, QueryResult, ValidationMethod};
 use lsm_common::{Error, Key, Record, Result, Timestamp, Value};
-use lsm_tree::{
-    lookup_sorted, newest_version_after, ComponentId, LookupOptions, LsmScan, ScanOptions,
-};
+use lsm_tree::{lookup_sorted, newest_versions, ComponentId, LookupOptions, LsmScan, ScanOptions};
 
 /// One candidate produced by the secondary-index scan.
 #[derive(Debug, Clone)]
@@ -130,13 +128,17 @@ pub(crate) fn validate_candidates(
     let pk_tree = ds
         .pk_index()
         .ok_or_else(|| Error::invalid("timestamp validation requires the pk index"))?;
+    // Candidates arrive sorted by pk: one batched probe of the pk index
+    // validates them all, each pruned at its own timestamps.
+    let newest = {
+        let pks: Vec<&[u8]> = candidates.iter().map(|c| c.pk_key.as_slice()).collect();
+        newest_versions(pk_tree, &pks, |i| {
+            candidates[i].ts.max(candidates[i].repaired_ts)
+        })?
+    };
     let mut valid = Vec::with_capacity(candidates.len());
-    for cand in candidates {
-        let prune = cand.ts.max(cand.repaired_ts);
-        let invalid = match newest_version_after(pk_tree, &cand.pk_key, prune)? {
-            Some(found) => found.ts > cand.ts,
-            None => false,
-        };
+    for (cand, newest) in candidates.into_iter().zip(newest) {
+        let invalid = newest.is_some_and(|ts| ts > cand.ts);
         if !invalid {
             valid.push(cand);
         } else if opts.query_driven_repair {

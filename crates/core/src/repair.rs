@@ -7,7 +7,11 @@
 //! * **merge repair** (Figure 7) rebuilds the component(s) while validating:
 //!   scan → stream into the new component → sort `(pkey, ts, position)` →
 //!   validate against the primary key index (pruning components at or below
-//!   the repaired timestamp) → set bitmap bits;
+//!   the repaired timestamp) → set bitmap bits. The sort compares an inline
+//!   16-byte key prefix first; validation is one batched newest-version
+//!   probe ([`lsm_tree::newest_disk_versions`]) over the sorted keys — per
+//!   unpruned pk component one Bloom batch and one stateful-cursor pass,
+//!   the batched lookups of Section 3.2 — not a lookup per candidate;
 //! * **standalone repair** only produces a fresh bitmap for an existing
 //!   component;
 //! * the **Bloom filter optimization** skips sorting/validating keys whose
@@ -24,8 +28,8 @@ use crate::keys::{encode_sk_pk, split_sk_pk};
 use lsm_common::{Key, Record, Result, Timestamp};
 use lsm_storage::Storage;
 use lsm_tree::{
-    newest_disk_version_after, AtomicBitmap, ComponentBuilder, ComponentId, DiskComponent,
-    LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions,
+    newest_disk_versions, AtomicBitmap, ComponentBuilder, ComponentId, DiskComponent, LsmEntry,
+    LsmScan, LsmTree, MergeRange, ScanOptions,
 };
 use std::ops::Bound;
 use std::sync::Arc;
@@ -84,9 +88,23 @@ pub struct RepairReport {
 /// pkey stored as a range of [`Candidates::pkeys`].
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
+    /// The pkey's first 16 bytes, zero-padded, as a big-endian integer:
+    /// the sort compares these inline and reads the pkey bytes only on a
+    /// tie.
+    prefix: u128,
     pkey: (usize, usize),
     ts: Timestamp,
     position: u64,
+}
+
+/// `key`'s first 16 bytes, zero-padded, as a big-endian integer. Prefixes
+/// order like the keys they come from, except that keys sharing all 16
+/// bytes (or differing only in trailing zero bytes) tie.
+fn key_prefix(key: &[u8]) -> u128 {
+    let mut buf = [0u8; 16];
+    let n = key.len().min(16);
+    buf[..n].copy_from_slice(&key[..n]);
+    u128::from_be_bytes(buf)
 }
 
 /// The candidates of one repair. Their pkeys sit back to back in one
@@ -102,6 +120,7 @@ impl Candidates {
         let start = self.pkeys.len();
         self.pkeys.extend_from_slice(pkey);
         self.list.push(Candidate {
+            prefix: key_prefix(pkey),
             pkey: (start, self.pkeys.len()),
             ts,
             position,
@@ -116,11 +135,15 @@ impl Candidates {
         self.list.len()
     }
 
-    /// Sorts by pkey; candidates with equal pkeys keep their scan order.
+    /// Sorts by pkey. Candidates with equal pkeys end up in no particular
+    /// order: validation decides each from its own `ts` alone.
     fn sort(&mut self) {
         let pkeys = &self.pkeys;
-        self.list
-            .sort_by(|a, b| pkeys[a.pkey.0..a.pkey.1].cmp(&pkeys[b.pkey.0..b.pkey.1]));
+        self.list.sort_unstable_by(|a, b| {
+            a.prefix
+                .cmp(&b.prefix)
+                .then_with(|| pkeys[a.pkey.0..a.pkey.1].cmp(&pkeys[b.pkey.0..b.pkey.1]))
+        });
     }
 }
 
@@ -198,15 +221,16 @@ fn validate_candidates(
         return Ok(());
     }
 
-    for cand in &candidates.list {
-        let pkey = candidates.pkey(cand);
-        if let Some(found) = newest_disk_version_after(storage, &unpruned, pkey, effective_prune)? {
-            // Invalid iff the same key exists with a larger timestamp
-            // (an update or a delete after this entry was written).
-            if found.ts > cand.ts {
-                bitmap.set(cand.position);
-                report.invalidated += 1;
-            }
+    // One ascending pass per unpruned pk component: a Bloom batch and a
+    // stateful cursor over the sorted candidates.
+    let pkeys: Vec<&[u8]> = candidates.list.iter().map(|c| candidates.pkey(c)).collect();
+    let newest = newest_disk_versions(storage, &unpruned, &pkeys, |_| effective_prune)?;
+    for (cand, newest) in candidates.list.iter().zip(newest) {
+        // Invalid iff the same key exists with a larger timestamp (an
+        // update or a delete after this entry was written).
+        if newest.is_some_and(|ts| ts > cand.ts) {
+            bitmap.set(cand.position);
+            report.invalidated += 1;
         }
     }
     Ok(())

@@ -33,8 +33,8 @@ pub use component::DiskComponent;
 pub use component_id::ComponentId;
 pub use entry::LsmEntry;
 pub use lookup::{
-    locate_valid, lookup_sorted, lookup_sorted_view, newest_disk_version_after,
-    newest_version_after, point_lookup, LookupOptions,
+    locate_valid, lookup_sorted, lookup_sorted_view, newest_disk_versions, newest_versions,
+    point_lookup, LookupOptions,
 };
 pub use memtable::MemComponent;
 pub use merge_policy::{LevelingPolicy, MergePolicy, MergeRange, NoMergePolicy, TieringPolicy};

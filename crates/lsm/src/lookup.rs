@@ -15,6 +15,16 @@
 //! * **component-ID propagation** ("pID", after Jia): a per-key timestamp
 //!   interval (the ID of the secondary-index component the key was found
 //!   in) prunes primary components whose ID interval is disjoint.
+//!
+//! The same per-component loop also serves the **newest-version probe**
+//! of Timestamp Validation and index repair (Sections 4.3-4.4): for a
+//! sorted list of primary keys, each with its own pruning timestamp, it
+//! finds the timestamp of every key's newest version (anti-matter
+//! included) in the primary key index. Components are visited newest
+//! first, one Bloom batch and one stateful cursor each, so a repair's
+//! thousands of candidates cost one ascending pass per component instead
+//! of a Bloom check plus a root-to-leaf descent per candidate and
+//! component.
 
 use crate::component::DiskComponent;
 use crate::component_id::ComponentId;
@@ -22,6 +32,7 @@ use crate::entry::LsmEntry;
 use crate::tree::LsmTree;
 use lsm_btree::StatefulCursor;
 use lsm_common::{Key, Result, Timestamp};
+use lsm_storage::PageSlice;
 use std::sync::Arc;
 
 /// Options for [`lookup_sorted`].
@@ -60,58 +71,6 @@ pub fn point_lookup(tree: &LsmTree, key: &[u8]) -> Result<Option<LsmEntry>> {
             if !comp.is_valid(ordinal) {
                 return Ok(None);
             }
-            return Ok(Some(entry));
-        }
-    }
-    Ok(None)
-}
-
-/// The newest version of `key` among components strictly newer than
-/// `prune_ts` (plus the memory component). This is the primary-key-index
-/// probe used by Timestamp Validation and index repair (Section 4.3/4.4):
-/// components with `maxTS <= prune_ts` are pruned.
-pub fn newest_version_after(
-    tree: &LsmTree,
-    key: &[u8],
-    prune_ts: Timestamp,
-) -> Result<Option<LsmEntry>> {
-    if let Some(e) = tree.mem_get(key) {
-        return Ok(Some(e));
-    }
-    let storage = tree.storage();
-    for comp in tree.disk_components() {
-        if comp.id().at_or_before(prune_ts) {
-            continue;
-        }
-        if !comp.bloom_may_contain(storage, key) {
-            continue;
-        }
-        if let Some((entry, _)) = comp.search(key)? {
-            return Ok(Some(entry));
-        }
-    }
-    Ok(None)
-}
-
-/// Like [`newest_version_after`] but searching only `components`, a
-/// captured disk-component list (newest first) — index repair (Section
-/// 4.4) validates against flushed state it captured once, and advances the
-/// repaired timestamp to the newest unpruned component of that same
-/// capture.
-pub fn newest_disk_version_after(
-    storage: &lsm_storage::Storage,
-    components: &[Arc<DiskComponent>],
-    key: &[u8],
-    prune_ts: Timestamp,
-) -> Result<Option<LsmEntry>> {
-    for comp in components {
-        if comp.id().at_or_before(prune_ts) {
-            continue;
-        }
-        if !comp.bloom_may_contain(storage, key) {
-            continue;
-        }
-        if let Some((entry, _)) = comp.search(key)? {
             return Ok(Some(entry));
         }
     }
@@ -276,9 +235,48 @@ fn lookup_batch(
     opts: &LookupOptions<'_>,
     found: &mut FoundEntries,
 ) -> Result<()> {
+    let skip = |comp: &DiskComponent, i: usize| {
+        opts.id_hints
+            .is_some_and(|hints| !comp.id().overlaps(&hints[i]))
+    };
+    probe_components(
+        storage,
+        components,
+        keys,
+        batch.to_vec(),
+        opts.stateful,
+        skip,
+        |comp, i, raw, ordinal| {
+            let entry = LsmEntry::decode_slice(raw)?;
+            if comp.is_valid(ordinal) && !entry.anti_matter {
+                found.push((i, entry));
+            }
+            // resolved either way: newest version seen
+            Ok(())
+        },
+    )
+}
+
+/// The per-component loop of every batched probe. Visits `components`
+/// newest first; for each, the keys of `remaining` (indices into `keys`,
+/// in ascending key order) that `skip` does not prune for it go through
+/// ONE Bloom filter call, so blocked filters resolve all block loads
+/// before the in-block probes, and the positives are searched in ascending
+/// order — through one [`StatefulCursor`] when `stateful`. A key found in
+/// a component is handed to `resolve` and probed no further; the others
+/// move on to the next component. Pruned keys are never Bloom-checked, so
+/// the bloom-check stats match a per-key walk over the same components.
+fn probe_components<K: AsRef<[u8]>>(
+    storage: &Arc<lsm_storage::Storage>,
+    components: &[Arc<DiskComponent>],
+    keys: &[K],
+    mut remaining: Vec<usize>,
+    stateful: bool,
+    skip: impl Fn(&DiskComponent, usize) -> bool,
+    mut resolve: impl FnMut(&DiskComponent, usize, PageSlice, u64) -> Result<()>,
+) -> Result<()> {
     // Buffers reused across components: each component's pass refills
     // them, so a batch allocates them once rather than once per component.
-    let mut remaining: Vec<usize> = batch.to_vec();
     let mut still_unresolved: Vec<usize> = Vec::with_capacity(remaining.len());
     let mut candidates: Vec<&[u8]> = Vec::with_capacity(remaining.len());
     let mut verdicts: Vec<bool> = Vec::with_capacity(remaining.len());
@@ -286,57 +284,120 @@ fn lookup_batch(
         if remaining.is_empty() {
             break;
         }
-        // Batched Bloom pre-pass: probe every key that survives
-        // component-ID pruning in ONE filter call, so blocked filters can
-        // resolve all block loads before the in-block probes (and the
-        // B+-tree probe loop below stays branch-simple). Pruned keys are
-        // never probed, so the bloom-check stats match the naive path.
         candidates.clear();
         candidates.extend(
             remaining
                 .iter()
-                .filter(|&&i| {
-                    opts.id_hints
-                        .is_none_or(|hints| comp.id().overlaps(&hints[i]))
-                })
-                .map(|&i| keys[i].as_slice()),
+                .filter(|&&i| !skip(comp, i))
+                .map(|&i| keys[i].as_ref()),
         );
         comp.bloom_may_contain_batch(storage, &candidates, &mut verdicts);
-        let mut vi = 0usize;
-        let mut cursor = opts.stateful.then(|| StatefulCursor::new(comp.btree()));
+        let mut verdict = verdicts.iter();
+        let mut cursor = stateful.then(|| StatefulCursor::new(comp.btree()));
         still_unresolved.clear();
         for &i in &remaining {
-            let key = &keys[i];
-            if let Some(hints) = opts.id_hints {
-                if !comp.id().overlaps(&hints[i]) {
-                    still_unresolved.push(i);
-                    continue;
-                }
-            }
-            let positive = verdicts[vi];
-            vi += 1;
-            if !positive {
+            // INVARIANT: `verdicts` holds one verdict per key `skip` kept,
+            // in `remaining` order.
+            if skip(comp, i) || !*verdict.next().expect("one verdict per probed key") {
                 still_unresolved.push(i);
                 continue;
             }
+            let key = keys[i].as_ref();
             let hit = match &mut cursor {
                 Some(c) => c.seek_pinned(key)?,
                 None => comp.btree().search_pinned(key)?,
             };
             match hit {
-                Some((raw, ordinal)) => {
-                    let entry = LsmEntry::decode_slice(raw)?;
-                    if comp.is_valid(ordinal) && !entry.anti_matter {
-                        found.push((i, entry));
-                    }
-                    // resolved either way: newest version seen
-                }
+                Some((raw, ordinal)) => resolve(comp, i, raw, ordinal)?,
                 None => still_unresolved.push(i),
             }
         }
         std::mem::swap(&mut remaining, &mut still_unresolved);
     }
     Ok(())
+}
+
+/// The newest-version probe of Timestamp Validation and index repair
+/// (Sections 4.3-4.4) over a live tree: the timestamp of each key's newest
+/// version, anti-matter included and validity bitmaps ignored, or `None`
+/// if no version survives pruning. `keys` must be sorted ascending
+/// (repeats allowed); disk components at or below `prune_ts(i)` are
+/// pruned for key `i`. The memory component is always consulted, first,
+/// and the disk list is captured after it, so an entry mid-flush is seen
+/// in memory or on disk (never neither).
+pub fn newest_versions<K: AsRef<[u8]>>(
+    tree: &LsmTree,
+    keys: &[K],
+    prune_ts: impl Fn(usize) -> Timestamp,
+) -> Result<Vec<Option<Timestamp>>> {
+    let mut newest = vec![None; keys.len()];
+    let mut unresolved = Vec::with_capacity(keys.len());
+    for (i, key) in keys.iter().enumerate() {
+        match tree.mem_get(key.as_ref()) {
+            Some(e) => newest[i] = Some(e.ts),
+            None => unresolved.push(i),
+        }
+    }
+    let components = tree.disk_components();
+    probe_newest(
+        tree.storage(),
+        &components,
+        keys,
+        unresolved,
+        prune_ts,
+        &mut newest,
+    )?;
+    Ok(newest)
+}
+
+/// [`newest_versions`] against `components` alone, a captured disk list
+/// (newest first): index repair validates against flushed state it
+/// captured once, and advances the repaired timestamp to the newest
+/// unpruned component of that same capture.
+pub fn newest_disk_versions<K: AsRef<[u8]>>(
+    storage: &Arc<lsm_storage::Storage>,
+    components: &[Arc<DiskComponent>],
+    keys: &[K],
+    prune_ts: impl Fn(usize) -> Timestamp,
+) -> Result<Vec<Option<Timestamp>>> {
+    let mut newest = vec![None; keys.len()];
+    probe_newest(
+        storage,
+        components,
+        keys,
+        (0..keys.len()).collect(),
+        prune_ts,
+        &mut newest,
+    )?;
+    Ok(newest)
+}
+
+/// The disk half of the newest-version probe: resolves the keys of
+/// `remaining` into `newest`.
+fn probe_newest<K: AsRef<[u8]>>(
+    storage: &Arc<lsm_storage::Storage>,
+    components: &[Arc<DiskComponent>],
+    keys: &[K],
+    remaining: Vec<usize>,
+    prune_ts: impl Fn(usize) -> Timestamp,
+    newest: &mut [Option<Timestamp>],
+) -> Result<()> {
+    debug_assert!(
+        keys.windows(2).all(|w| w[0].as_ref() <= w[1].as_ref()),
+        "keys must be sorted"
+    );
+    probe_components(
+        storage,
+        components,
+        keys,
+        remaining,
+        true,
+        |comp, i| comp.id().at_or_before(prune_ts(i)),
+        |_, i, raw, _| {
+            newest[i] = Some(LsmEntry::decode_slice(raw)?.ts);
+            Ok(())
+        },
+    )
 }
 
 #[cfg(test)]
@@ -349,28 +410,29 @@ mod tests {
         format!("k{i:06}").into_bytes()
     }
 
-    /// Three disk components + a memtable:
+    /// Three disk components + a memtable, every entry stamped with its
+    /// write timestamp:
     ///   comp ids 1-300 (keys 0..300), 301-400 (100..200 overwritten),
-    ///   401-450 (250..300 deleted), mem: key 0 overwritten.
+    ///   401-450 (250..300 deleted), mem: key 0 overwritten at ts 451.
     fn sample_tree() -> LsmTree {
         let t = LsmTree::new(Storage::new(StorageOptions::test()), LsmOptions::default());
         let mut ts = 1;
         for i in 0..300 {
-            t.put(key(i), LsmEntry::put(b"v1".to_vec()), ts);
+            t.put(key(i), LsmEntry::put_ts(b"v1".to_vec(), ts), ts);
             ts += 1;
         }
         t.flush().unwrap();
         for i in 100..200 {
-            t.put(key(i), LsmEntry::put(b"v2".to_vec()), ts);
+            t.put(key(i), LsmEntry::put_ts(b"v2".to_vec(), ts), ts);
             ts += 1;
         }
         t.flush().unwrap();
         for i in 250..300 {
-            t.put(key(i), LsmEntry::anti_matter(), ts);
+            t.put(key(i), LsmEntry::anti_matter_ts(ts), ts);
             ts += 1;
         }
         t.flush().unwrap();
-        t.put(key(0), LsmEntry::put(b"mem".to_vec()), ts);
+        t.put(key(0), LsmEntry::put_ts(b"mem".to_vec(), ts), ts);
         t
     }
 
@@ -494,19 +556,50 @@ mod tests {
     }
 
     #[test]
-    fn newest_version_after_prunes_old_components() {
+    fn newest_versions_prune_per_key() {
         let t = sample_tree();
-        // Key 50 was written at ts 51 in component 1-300. Pruning at
-        // ts >= 300 hides it.
-        assert!(newest_version_after(&t, &key(50), 300).unwrap().is_none());
-        assert!(newest_version_after(&t, &key(50), 0).unwrap().is_some());
-        // Key 150's newest version (ts ~ 351) survives pruning at 300.
-        let e = newest_version_after(&t, &key(150), 300).unwrap().unwrap();
-        assert_eq!(e.value, b"v2");
-        // Mem entries are always visible.
-        assert!(newest_version_after(&t, &key(0), u64::MAX)
-            .unwrap()
-            .is_some());
+        // Key 50 was written at ts 51 in component 1-300: pruning at 300
+        // hides it, pruning at 0 finds it. Key 150's newest version
+        // (ts 351) survives pruning at 300. Key 260's newest version is
+        // its anti-matter (ts 411). Mem entries are always visible.
+        let keys = [key(0), key(50), key(50), key(150), key(260), key(999)];
+        let prune = [u64::MAX, 300, 0, 300, 300, 0];
+        let got = newest_versions(&t, &keys, |i| prune[i]).unwrap();
+        assert_eq!(got, [Some(451), None, Some(51), Some(351), Some(411), None]);
+        // Disk-only: key 0's memory version is out of sight.
+        let comps = t.disk_components();
+        let got = newest_disk_versions(t.storage(), &comps, &keys[..1], |_| 0).unwrap();
+        assert_eq!(got, [Some(1)]);
+    }
+
+    /// The newest-version probe agrees with a per-key walk over every
+    /// component, under every pruning timestamp, and checks each Bloom
+    /// filter exactly as often as that walk.
+    #[test]
+    fn newest_versions_match_per_key_walk() {
+        let t = sample_tree();
+        let comps = t.disk_components();
+        let keys: Vec<Key> = (0..320).step_by(3).map(key).collect();
+        for prune in [0, 150, 300, 350, 400, 450] {
+            let before = t.storage().stats();
+            let got = newest_disk_versions(t.storage(), &comps, &keys, |_| prune).unwrap();
+            let checks = t.storage().stats().since(&before).bloom_checks;
+            let mut want_checks = 0;
+            let want: Vec<Option<Timestamp>> = keys
+                .iter()
+                .map(|k| {
+                    for comp in comps.iter().filter(|c| !c.id().at_or_before(prune)) {
+                        want_checks += u64::from(comp.has_bloom());
+                        if let Some((e, _)) = comp.search(k).unwrap() {
+                            return Some(e.ts);
+                        }
+                    }
+                    None
+                })
+                .collect();
+            assert_eq!(got, want, "prune {prune}");
+            assert_eq!(checks, want_checks, "prune {prune}");
+        }
     }
 
     #[test]

@@ -65,6 +65,12 @@ pub struct LsmOptions {
     /// byte-identical to the unsharded tree; larger values let concurrent
     /// writers on different shards proceed without contending.
     pub mem_shards: usize,
+    /// Keep anti-matter through merges that include the oldest component.
+    /// A primary key index whose deletes secondary indexes still reference
+    /// lazily (Validation, deleted-key B+-tree) is their only record of
+    /// the delete: dropping it would make Timestamp validation and repair
+    /// take an unrepaired entry of a deleted key for live.
+    pub keep_anti_matter: bool,
 }
 
 impl Default for LsmOptions {
@@ -76,6 +82,7 @@ impl Default for LsmOptions {
             bloom_fpr: 0.01,
             mutable_bitmaps: false,
             mem_shards: 1,
+            keep_anti_matter: false,
         }
     }
 }
@@ -819,7 +826,7 @@ impl LsmTree {
         if inputs.len() < 2 {
             return Err(Error::invalid("merge needs at least two components"));
         }
-        let drop_anti = self.range_includes_oldest(range);
+        let drop_anti = !self.opts.keep_anti_matter && self.range_includes_oldest(range);
         let id = ComponentId::merged(inputs.iter().map(|c| c.id()))
             .ok_or_else(|| Error::invalid("merge inputs carry no component IDs"))?;
         let mut filter: Option<RangeFilter> = None;

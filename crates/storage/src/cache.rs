@@ -252,6 +252,12 @@ impl ShardedCache {
         self.shard(file, page).clock.lock().contains(file, page)
     }
 
+    /// Counts a hit on `(file, page)` in its shard without probing the
+    /// CLOCK: the caller re-reads a page it holds pinned.
+    pub fn count_pinned_hit(&self, file: FileId, page: PageNo) {
+        self.shard(file, page).hits.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Drops all pages belonging to `file` from every shard.
     pub fn evict_file(&self, file: FileId) {
         for shard in &self.shards {

@@ -476,6 +476,23 @@ impl Storage {
         Ok(data)
     }
 
+    /// Accounts a re-read of `(file, page)` that the caller serves from a
+    /// handle it already holds (a cursor's pinned leaf): the cache hit
+    /// [`Storage::read_page`] would record, in the global and per-shard
+    /// counters, without the file-table lookup or the CLOCK probe. The
+    /// CLOCK reference bit the pinning read set stays set until another
+    /// page is admitted, so a caller that reads nothing else in between
+    /// leaves the cache exactly as a real re-read would. Should another
+    /// thread evict the page meanwhile, the held handle still serves the
+    /// probe, as a buffer pool serves a pinned frame, and it still counts
+    /// as a hit. It is not a device operation, so no fault can fire on it.
+    pub fn note_pinned_hit(&self, file: FileId, page: PageNo) {
+        self.cache.count_pinned_hit(file, page);
+        self.stats
+            .cache_hits
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
     /// Charges a device read of `count` pages starting at `(file, page)`.
     fn charge_read(&self, file: FileId, page: PageNo, count: u32) {
         // Rate-limit first: threads that installed a read IoThrottle
